@@ -59,7 +59,7 @@ EnforcementWorkload MakeLocationWorkload(RoleCatalog* roles,
 QueryMetricsSnapshot HarvestPipeline(const Pipeline& pipeline,
                                      const std::string& query) {
   MetricsRegistry registry;
-  pipeline.HarvestInto(&registry, query, Pipeline::HarvestMode::kMerge);
+  pipeline.HarvestInto(&registry, query);
   MetricsSnapshot snap = registry.Snapshot();
   const QueryMetricsSnapshot* q = snap.FindQuery(query);
   if (q == nullptr) return QueryMetricsSnapshot{};  // empty pipeline

@@ -275,13 +275,6 @@ void MetricsRegistry::UpdateLiveOperator(const std::string& query,
   queries_[query].live[op] = metrics;
 }
 
-void MetricsRegistry::MergeOperator(const std::string& query,
-                                    const std::string& op,
-                                    const OperatorMetrics& metrics) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queries_[query].retired[op].Merge(metrics);
-}
-
 void MetricsRegistry::RetireQuery(const std::string& query) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = queries_.find(query);

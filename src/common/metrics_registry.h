@@ -85,10 +85,6 @@ class MetricsRegistry {
   /// long-lived pipeline (harvested once per epoch).
   void UpdateLiveOperator(const std::string& query, const std::string& op,
                           const OperatorMetrics& metrics);
-  /// \brief Fold metrics of an ephemeral (per-epoch) operator into the
-  /// query's retired accumulator.
-  void MergeOperator(const std::string& query, const std::string& op,
-                     const OperatorMetrics& metrics);
   /// \brief A query's pipeline is being rebuilt or torn down: fold its live
   /// operator metrics into the retired accumulators and clear the live set.
   void RetireQuery(const std::string& query);

@@ -4,11 +4,11 @@
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
+#include <utility>
 
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "exec/ss_operator.h"
 #include "security/sp_codec.h"
 #include "storage/state_codec.h"
 #include "stream/element_batch.h"
@@ -83,7 +83,7 @@ SpStreamEngine::SpStreamEngine(EngineOptions options)
       Status st = ApplyRecoveredState();
       if (!st.ok()) {
         recovery_error_ = st;
-        for (QueryState& qs : queries_) ResetPipelines(&qs);
+        for (QueryGroup& g : groups_) ResetGroup(&g, /*reshaped=*/false);
         durability_.reset();
       }
     }
@@ -132,33 +132,81 @@ std::string SpStreamEngine::QueryTag(const QueryState* qs) const {
   return "q" + std::to_string(qs - queries_.data());
 }
 
-std::string SpStreamEngine::ShardTag(const std::string& query_tag,
-                                     size_t shard) {
-  return query_tag + ".shard" + std::to_string(shard);
+std::string SpStreamEngine::GroupTag(const QueryGroup& g) const {
+  const std::string leader = "q" + std::to_string(g.members[0]);
+  return g.members.size() == 1 ? leader : "shared:" + leader;
 }
 
-void SpStreamEngine::RetirePipelineMetrics(QueryState* qs) {
-  const std::string tag = QueryTag(qs);
-  if (qs->pipeline) {
-    qs->pipeline->HarvestInto(&metrics_, tag);
-    metrics_.RetireQuery(tag);
-  }
-  if (qs->shards) {
-    for (size_t i = 0; i < qs->shards->pipelines.size(); ++i) {
-      const std::string shard_tag = ShardTag(tag, i);
-      qs->shards->pipelines[i]->HarvestInto(&metrics_, shard_tag);
-      metrics_.RetireQuery(shard_tag);
+std::string SpStreamEngine::CloneTag(const QueryGroup& g, size_t clone) const {
+  const std::string tag = GroupTag(g);
+  return g.routing.shardable ? tag + ".shard" + std::to_string(clone) : tag;
+}
+
+auto SpStreamEngine::GroupOf(size_t query) const -> const QueryGroup* {
+  for (const QueryGroup& g : groups_) {
+    if (std::find(g.members.begin(), g.members.end(), query) !=
+        g.members.end()) {
+      return &g;
     }
   }
+  return nullptr;
 }
 
-void SpStreamEngine::ResetPipelines(QueryState* qs) {
-  RetirePipelineMetrics(qs);
-  qs->pipeline.reset();
-  qs->physical = StreamingPhysicalPlan{};
-  qs->shards.reset();
-  qs->shard_decision_made = false;
-  qs->shard_fallback.clear();
+auto SpStreamEngine::GroupOf(size_t query) -> QueryGroup* {
+  return const_cast<QueryGroup*>(std::as_const(*this).GroupOf(query));
+}
+
+void SpStreamEngine::JoinGroup(size_t query) {
+  if (options_.share_plans) {
+    for (QueryGroup& g : groups_) {
+      // A fenced group takes no newcomers: they would share its quarantine.
+      // Equal SQL plans to an equal bare plan: testing it first keeps
+      // PlansEqual, which renders predicates as text, off the common path.
+      if (g.quarantined ||
+          (queries_[g.members[0]].sql != queries_[query].sql &&
+           !PlansEqual(queries_[g.members[0]].bare_plan,
+                       queries_[query].bare_plan))) {
+        continue;
+      }
+      // New membership: the DAG recompiles, state resets.
+      ResetGroup(&g, /*reshaped=*/true);
+      g.members.push_back(query);
+      return;
+    }
+  }
+  // The newest query has the highest index, so leader order holds.
+  QueryGroup g;
+  g.members = {query};
+  groups_.push_back(std::move(g));
+}
+
+void SpStreamEngine::LeaveGroup(size_t query) {
+  QueryGroup* g = GroupOf(query);
+  if (g == nullptr) return;
+  ResetGroup(g, /*reshaped=*/true);
+  g->members.erase(std::find(g->members.begin(), g->members.end(), query));
+  if (g->members.empty()) groups_.erase(groups_.begin() + (g - groups_.data()));
+  // A departing leader hands the lead to the next member.
+  std::sort(groups_.begin(), groups_.end(),
+            [](const QueryGroup& a, const QueryGroup& b) {
+              return a.members[0] < b.members[0];
+            });
+}
+
+void SpStreamEngine::ResetGroup(QueryGroup* g, bool reshaped) {
+  // Fold the live metrics into the retired accumulators first, so lifetime
+  // totals survive the rebuild.
+  for (size_t c = 0; c < g->pipelines.size(); ++c) {
+    const std::string tag = CloneTag(*g, c);
+    g->pipelines[c]->HarvestInto(&metrics_, tag);
+    metrics_.RetireQuery(tag);
+  }
+  g->roots.clear();
+  g->pipelines.clear();
+  g->physicals.clear();
+  g->routing = ShardRouting{};
+  g->shard_fallback.clear();
+  if (reshaped) g->checkpoint_stale = true;
 }
 
 void SpStreamEngine::SyncAnalyzerStats() {
@@ -283,7 +331,8 @@ Status SpStreamEngine::UpdateSubjectRoles(
   // Re-plan every active query of this subject against the new roles.
   Planner planner(&streams_, &roles_);
   const RoleSet new_roles = RoleSet::FromIds(sub_it->second.roles());
-  for (QueryState& qs : queries_) {
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    QueryState& qs = queries_[i];
     if (!qs.active || qs.subject != name) continue;
     LogicalNodePtr plan = ApplySsPlacement(qs.bare_plan, new_roles,
                                            options_.initial_placement);
@@ -298,9 +347,9 @@ Status SpStreamEngine::UpdateSubjectRoles(
     }
     qs.plan = std::move(plan);
     qs.roles = new_roles;
-    // The new shield requires a fresh pipeline; continuous state resets
+    // The new shield requires a fresh DAG; continuous state resets
     // (windows refill; the next sps re-install policies).
-    ResetPipelines(&qs);
+    ResetGroup(GroupOf(i), /*reshaped=*/true);
     if (options_.enable_audit) {
       AuditEvent e;
       e.kind = AuditEventKind::kPlanAdapt;
@@ -382,6 +431,7 @@ Result<QueryId> SpStreamEngine::RegisterQuery(const std::string& subject,
   // The subject's role assignment freezes while it has registered queries.
   sub_it->second.Freeze();
   queries_.push_back(std::move(qs));
+  JoinGroup(queries_.size() - 1);
   return static_cast<QueryId>(queries_.size() - 1);
 }
 
@@ -397,14 +447,14 @@ Status SpStreamEngine::DeregisterQuery(QueryId id) {
         storage::WalRecordType::kQueryDeregister, std::move(payload)));
   }
   qs->active = false;
-  if (qs->quarantined) {
+  const QueryGroup* g = GroupOf(id);
+  if (g != nullptr && g->quarantined) {
     // The gauge tracks quarantined queries still registered; a deregistered
-    // one no longer needs operator attention. (The per-query flag stays set
-    // for history — IsQuarantined on a dead id still answers truthfully.)
+    // one no longer needs operator attention.
     --quarantined_count_;
     metrics_.SetGauge("engine.queries_quarantined", quarantined_count_);
   }
-  ResetPipelines(qs);
+  LeaveGroup(id);
   auto sub_it = subjects_.find(qs->subject);
   if (sub_it != subjects_.end()) sub_it->second.Unfreeze();
   return Status::OK();
@@ -412,19 +462,10 @@ Status SpStreamEngine::DeregisterQuery(QueryId id) {
 
 namespace {
 
-/// Per-node metrics for EXPLAIN ANALYZE. In sharded execution this is the
-/// sum across all pipeline clones of the node's physical operator.
+/// Per-node metrics for EXPLAIN ANALYZE: the sum across all DAG clones of
+/// the node's physical operator.
 using NodeMetricsMap =
     std::unordered_map<const LogicalNode*, OperatorMetrics>;
-
-NodeMetricsMap CollectNodeMetrics(
-    const std::unordered_map<const LogicalNode*, Operator*>& node_ops) {
-  NodeMetricsMap out;
-  for (const auto& [node, op] : node_ops) {
-    if (op != nullptr) out[node] = op->metrics();
-  }
-  return out;
-}
 
 /// EXPLAIN ANALYZE rendering: the logical tree with each node annotated by
 /// the live metrics of the physical operator(s) executing it.
@@ -497,75 +538,68 @@ void RenderAnalyzedPlan(const LogicalNodePtr& node,
 Result<std::string> SpStreamEngine::ExplainQuery(QueryId id,
                                                  bool analyze) const {
   SP_ASSIGN_OR_RETURN(const QueryState* qs, FindQuery(id));
+  const QueryGroup* g = GroupOf(id);
   // Self-healing annotation (docs/ROBUSTNESS.md): how many watchdog-driven
-  // recovery attempts this query has consumed, and whether it is now beyond
-  // automatic help.
+  // recovery attempts this query's group has consumed, and whether it is
+  // now beyond automatic help.
+  const bool quarantined = g != nullptr && g->quarantined;
+  const std::string quarantine_note =
+      quarantined ? "QUARANTINED (fail-closed): " + g->quarantine_reason + "\n"
+                  : "";
   std::string recovery_note;
-  if (qs->quarantined) {
+  if (quarantined) {
     const int max_attempts = overload_.options().max_recovery_attempts;
-    if (qs->permanently_quarantined) {
+    if (g->permanently_quarantined) {
       recovery_note = "recovery: PERMANENT after " +
-                      std::to_string(qs->recovery_attempts) +
+                      std::to_string(g->recovery_attempts) +
                       " attempts (only \\recover can resurrect)\n";
     } else if (max_attempts > 0) {
       recovery_note = "recovery: attempt " +
-                      std::to_string(qs->recovery_attempts) + "/" +
+                      std::to_string(g->recovery_attempts) + "/" +
                       std::to_string(max_attempts) +
-                      (qs->next_recovery_nanos > 0 ? " scheduled (backoff)\n"
-                                                   : " pending\n");
+                      (g->next_recovery_nanos > 0 ? " scheduled (backoff)\n"
+                                                  : " pending\n");
     }
-  } else if (qs->recovery_attempts > 0) {
+  } else if (g != nullptr && g->recovery_attempts > 0) {
     recovery_note = "recovery: healthy after " +
-                    std::to_string(qs->recovery_attempts) +
+                    std::to_string(g->recovery_attempts) +
                     " attempt(s); state restored from the last durable "
                     "checkpoint\n";
   }
-  if (!analyze) {
-    std::string out = qs->plan->ToString();
-    if (qs->quarantined) {
-      out += "QUARANTINED (fail-closed): " + qs->quarantine_reason + "\n";
-    }
-    out += recovery_note;
-    return out;
-  }
-  if (!qs->pipeline && !qs->shards) {
-    // A quarantined query always lands here: its pipelines are torn down.
-    std::string out = qs->plan->ToString();
-    out += qs->quarantined
-               ? "QUARANTINED (fail-closed): " + qs->quarantine_reason + "\n"
-               : "(analyze: query has not executed yet)\n";
-    out += recovery_note;
-    if (qs->shard_decision_made && !qs->shard_fallback.empty()) {
-      out += "sharding: fallback to single-threaded (" + qs->shard_fallback +
-             ")\n";
-    }
-    return out;
-  }
-  std::string out = recovery_note;
-  if (!qs->shards) {
-    // Single-threaded path (possibly a sharding fallback).
-    const NodeMetricsMap solo = CollectNodeMetrics(qs->physical.node_ops);
-    RenderAnalyzedPlan(qs->plan, solo, PlanTotalNanos(solo), 0, &out);
-    if (qs->shard_decision_made && !qs->shard_fallback.empty()) {
-      out += "sharding: fallback to single-threaded (" + qs->shard_fallback +
-             ")\n";
-    }
-    return out;
+  const std::string fallback_note =
+      g != nullptr && !g->shard_fallback.empty()
+          ? "sharding: fallback to single-threaded (" + g->shard_fallback +
+                ")\n"
+          : "";
+  if (!analyze) return qs->plan->ToString() + quarantine_note + recovery_note;
+  if (g == nullptr || g->pipelines.empty()) {
+    // A quarantined query always lands here: its group's DAG is torn down.
+    return qs->plan->ToString() +
+           (quarantined ? quarantine_note
+                        : "(analyze: query has not executed yet)\n") +
+           recovery_note + fallback_note;
   }
 
-  // Sharded execution: node annotations are summed across the clones, then
-  // one row per shard breaks the totals down (docs/OBSERVABILITY.md).
-  const QueryState::ShardSet& shards = *qs->shards;
+  // The member's own root: its plan, or its split SS over the shared
+  // trunk. Node annotations are summed across the DAG clones; a sharded
+  // group then gets one row per shard (docs/OBSERVABILITY.md).
+  const size_t member = static_cast<size_t>(
+      std::find(g->members.begin(), g->members.end(), id) -
+      g->members.begin());
   NodeMetricsMap merged;
-  for (const StreamingPhysicalPlan& physical : shards.physicals) {
+  for (const StreamingPhysicalPlan& physical : g->physicals) {
     for (const auto& [node, op] : physical.node_ops) {
       if (op != nullptr) merged[node].Merge(op->metrics());
     }
   }
-  RenderAnalyzedPlan(qs->plan, merged, PlanTotalNanos(merged), 0, &out);
+  std::string out = recovery_note;
+  RenderAnalyzedPlan(g->roots[member], merged, PlanTotalNanos(merged), 0,
+                     &out);
+  out += fallback_note;
+  if (!g->routing.shardable) return out;
   std::ostringstream os;
-  os << "shards: " << shards.pipelines.size() << " (keys:";
-  for (const LeafShardKey& key : shards.routing.leaf_keys) {
+  os << "shards: " << g->pipelines.size() << " (keys:";
+  for (const LeafShardKey& key : g->routing.leaf_keys) {
     if (key.key_col == LeafShardKey::kByTupleId) {
       os << " tid";
     } else {
@@ -573,21 +607,20 @@ Result<std::string> SpStreamEngine::ExplainQuery(QueryId id,
     }
   }
   os << ")\n";
-  for (size_t s = 0; s < shards.pipelines.size(); ++s) {
-    int64_t tuples_in = 0, sps_in = 0, installs = 0, results = 0;
-    for (const auto& [stream, src] : shards.physicals[s].sources) {
+  for (size_t s = 0; s < g->pipelines.size(); ++s) {
+    const StreamingPhysicalPlan& physical = g->physicals[s];
+    int64_t tuples_in = 0, sps_in = 0, installs = 0;
+    for (const auto& [stream, src] : physical.sources) {
       (void)stream;
       tuples_in += src->metrics().tuples_in;
       sps_in += src->metrics().sps_in;
     }
-    for (const auto& op : shards.pipelines[s]->operators()) {
+    for (const auto& op : g->pipelines[s]->operators()) {
       installs += op->metrics().policy_installs;
     }
-    if (shards.physicals[s].sink != nullptr) {
-      results = shards.physicals[s].sink->metrics().tuples_in;
-    }
     os << "  shard " << s << ": tuples=" << tuples_in << " sps=" << sps_in
-       << " results=" << results << " policy_installs=" << installs;
+       << " results=" << physical.sinks[member]->metrics().tuples_in
+       << " policy_installs=" << installs;
     if (shard_manager_) {
       const ShardManager::ShardStats st = shard_manager_->Stats(s);
       os << " queue_depth=" << st.queue_depth
@@ -656,7 +689,6 @@ Status SpStreamEngine::Run() {
   ScopedTraceContext trace_ctx(epoch_trace);
   TraceSpan run_span(TraceCat::kEngine, "engine.run", epoch_trace,
                      run_epoch_seq_, static_cast<int64_t>(queries_.size()));
-  epoch_had_quarantine_ = false;
   // Self-healing pass: quarantined queries whose backoff elapsed get one
   // recovery attempt before this epoch executes (safe point — no pipeline
   // is mid-flight).
@@ -669,44 +701,20 @@ Status SpStreamEngine::Run() {
     }
   }
 
-  // Pipelines outlive this call (continuous queries), so they execute
-  // against the engine's long-lived context, not a stack-local one.
-  ExecContext& ctx = exec_ctx_;
-  if (!options_.share_plans) {
-    for (QueryState& qs : queries_) {
-      // Quarantined queries stay dark until deregistered: their pipelines
-      // are gone and re-running them would resume under unknown policy
-      // state. The engine keeps serving every other query.
-      if (!qs.active || qs.quarantined) continue;
-      SP_RETURN_NOT_OK(RunSolo(&ctx, &qs));
-    }
-  } else {
-    // Group share-compatible queries (identical shield-free plans) and run
-    // each group through one shared trunk (§VI.C merge/split).
-    std::unordered_map<std::string, std::vector<size_t>> groups;
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      if (!queries_[i].active || queries_[i].quarantined) continue;
-      groups[queries_[i].bare_plan->ToString()].push_back(i);
-    }
-    for (auto& [key, indexes] : groups) {
-      (void)key;
-      if (indexes.size() == 1) {
-        SP_RETURN_NOT_OK(RunSolo(&ctx, &queries_[indexes[0]]));
-      } else {
-        SP_RETURN_NOT_OK(RunSharedGroup(&ctx, indexes));
-      }
-    }
+  for (QueryGroup& g : groups_) {
+    // Quarantined groups stay dark until recovered: their DAGs are gone
+    // and re-running them would resume under unknown policy state. The
+    // engine keeps serving every other group.
+    if (g.quarantined) continue;
+    SP_RETURN_NOT_OK(RunGroup(&g));
   }
   // Durable commit point: checkpoint this epoch's operator-state deltas and
-  // group-commit. Staged output is released only on success — a failed (or
-  // quarantine-poisoned) epoch discards ALL of it, engine-wide, so a client
-  // never sees a result the next recovery won't reproduce (at-most-once).
+  // group-commit. Staged output is released only on success — a failed
+  // commit discards ALL of it, engine-wide, so a client never sees a result
+  // the next recovery won't reproduce (at-most-once). A quarantined group
+  // already discarded its own members' output and commits no deltas.
   if (durability_) {
-    Status commit = epoch_had_quarantine_
-                        ? Status::Internal(
-                              "epoch contained a query quarantine; durable "
-                              "commit aborted")
-                        : CommitEpochDurable();
+    Status commit = CommitEpochDurable();
     if (commit.ok()) {
       for (QueryState& qs : queries_) {
         for (Tuple& t : qs.staged) {
@@ -763,7 +771,8 @@ Status SpStreamEngine::Run() {
 
 Status SpStreamEngine::AdaptPlans() {
   if (measured_stats_.empty()) return Status::OK();
-  for (QueryState& qs : queries_) {
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    QueryState& qs = queries_[i];
     if (!qs.active) continue;
     // Cost model fed by the latest measurements of this query's sources.
     CostModelOptions mopts = options_.cost_options;
@@ -787,7 +796,10 @@ Status SpStreamEngine::AdaptPlans() {
     LogicalNodePtr adapted = optimizer.Optimize(fresh);
     if (!PlansEqual(adapted, qs.plan)) {
       qs.plan = std::move(adapted);
-      ResetPipelines(&qs);  // rebuilt (with the new shape) on next Run
+      // Only a group of one compiles qs.plan; a larger group compiles the
+      // shared bare plan, so its DAG (and state) is unaffected.
+      QueryGroup* g = GroupOf(i);
+      if (g->members.size() == 1) ResetGroup(g, /*reshaped=*/true);
       ++adaptations_;
       metrics_.AddCounter("engine.plan_adaptations");
       if (options_.enable_audit) {
@@ -809,31 +821,118 @@ const StreamStatistics* SpStreamEngine::measured_stats(
   return it == measured_stats_.end() ? nullptr : &it->second;
 }
 
-Status SpStreamEngine::RunSolo(ExecContext* ctx, QueryState* qs) {
-  if (shard_manager_) {
-    SP_RETURN_NOT_OK(EnsureShardDecision(ctx, qs));
-    if (qs->shards) return RunSharded(qs);
-    // else: plan is not hash-partitionable — single-threaded fallback.
+Status SpStreamEngine::CompileGroup(QueryGroup* g) {
+  if (!g->pipelines.empty()) return Status::OK();
+  const QueryState& leader = queries_[g->members[0]];
+  std::vector<LogicalNodePtr> roots;
+  if (g->members.size() == 1) {
+    roots = {leader.plan};
+  } else {
+    // §VI.C: a merged SS and the shared subplan once, then one split SS per
+    // member over the trunk's output.
+    std::vector<RoleSet> member_roles;
+    for (size_t m : g->members) member_roles.push_back(queries_[m].roles);
+    roots = BuildSharedPlan(leader.bare_plan, member_roles).query_roots;
   }
-  const std::string tag = QueryTag(qs);
+  ShardRouting routing;
+  std::string fallback;
+  if (shard_manager_) {
+    // Split shields are stateless, so the first root's routing is the DAG's.
+    routing = AnalyzeShardRouting(roots[0]);
+    if (!routing.shardable) fallback = routing.reason;
+  }
+  const size_t clones = routing.shardable ? shard_manager_->num_shards() : 1;
+  const std::string tag = GroupTag(*g);
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  std::vector<StreamingPhysicalPlan> physicals;
+  for (size_t c = 0; c < clones; ++c) {
+    auto pipeline = std::make_unique<Pipeline>(&exec_ctx_);
+    SP_ASSIGN_OR_RETURN(
+        StreamingPhysicalPlan physical,
+        BuildStreamingPhysicalPlan(pipeline.get(), roots, options_.physical));
+    // Audit scope: every clone speaks for the group, except that each split
+    // shield speaks for its own query. Per-shard registry keys
+    // ("q0.shard1") are applied at harvest time instead.
+    pipeline->SetQueryTag(tag);
+    if (g->members.size() > 1) {
+      for (size_t k = 0; k < roots.size(); ++k) {
+        physical.node_ops.at(roots[k].get())
+            ->set_query_tag(QueryTag(&queries_[g->members[k]]));
+      }
+    }
+    pipelines.push_back(std::move(pipeline));
+    physicals.push_back(std::move(physical));
+  }
+  if (routing.shardable &&
+      physicals[0].sources.size() != routing.leaf_keys.size()) {
+    // Router and plan compiler disagree on the leaf list; don't risk a
+    // wrong partition — fall back to the first clone, inline.
+    routing.shardable = false;
+    fallback = "router/compiler leaf-count mismatch";
+    pipelines.resize(1);
+    physicals.resize(1);
+  }
+  if (!fallback.empty()) {
+    AuditGroup(*g, AuditEventKind::kPlanAdapt,
+               "sharding fallback to single-threaded: " + fallback);
+  }
+  g->roots = std::move(roots);
+  g->pipelines = std::move(pipelines);
+  g->physicals = std::move(physicals);
+  g->routing = std::move(routing);
+  g->shard_fallback = std::move(fallback);
+  return Status::OK();
+}
+
+Status SpStreamEngine::RunGroup(QueryGroup* g) {
   const int64_t epoch_start = NowNanos();
-  SP_RETURN_NOT_OK(EnsurePipeline(ctx, qs));
-  // Feed this epoch's admitted elements; operator state persists, so a
-  // policy installed in an earlier epoch still governs later tuples.
-  // Feeding is synchronous pipelined execution, so the wall time of one
-  // Feed() IS that element's source→sink latency; tuple samples accumulate
-  // locally and merge into the registry in one lock hold.
+  SP_RETURN_NOT_OK(CompileGroup(g));
+  // Operator state persists, so a policy installed in an earlier epoch
+  // still governs this epoch's tuples, for every member alike.
   Histogram tuple_latency;
-  std::string fault_reason;
+  const std::string fault_reason =
+      g->routing.shardable ? FeedShards(g) : FeedInline(g, &tuple_latency);
+  if (!g->routing.shardable) {
+    for (size_t m : g->members) {
+      metrics_.MergeTupleLatency(QueryTag(&queries_[m]), tuple_latency);
+    }
+  }
+  if (!fault_reason.empty()) {
+    QuarantineGroup(g, fault_reason);
+    return Status::OK();
+  }
+  // Deterministic merge: shard id first, arrival order within the shard.
+  for (size_t k = 0; k < g->members.size(); ++k) {
+    QueryState* qs = &queries_[g->members[k]];
+    for (StreamingPhysicalPlan& physical : g->physicals) {
+      for (Tuple& t : physical.sinks[k]->TakeTuples()) {
+        DeliverResult(qs, std::move(t));
+      }
+    }
+  }
+  const int64_t epoch_nanos = NowNanos() - epoch_start;
+  for (size_t m : g->members) {
+    metrics_.RecordEpochLatency(QueryTag(&queries_[m]), epoch_nanos);
+  }
+  for (size_t c = 0; c < g->pipelines.size(); ++c) {
+    g->pipelines[c]->HarvestInto(&metrics_, CloneTag(*g, c));
+  }
+  return Status::OK();
+}
+
+std::string SpStreamEngine::FeedInline(QueryGroup* g,
+                                       Histogram* tuple_latency) {
+  // Feeding is synchronous pipelined execution, so the wall time of one
+  // FeedBatch() IS its tuples' source→sink latency.
   // Tier-1 degradation: under pressure the source poll batches shrink so
   // sinks drain (and results deliver) at a finer granularity.
   const size_t batch_size =
       overload_.EffectiveBatchSize(std::max<size_t>(1, options_.batch_size));
-  for (auto& [stream, src] : qs->physical.sources) {
+  for (auto& [stream, src] : g->physicals[0].sources) {
     const std::vector<StreamElement>& pending =
         stream_states_.at(stream).pending;
     size_t i = 0;
-    while (i < pending.size() && fault_reason.empty()) {
+    while (i < pending.size()) {
       // Assemble up to batch_size elements. The injection check stays
       // per-element so a given fault seed fires on the same RNG draw as the
       // per-element path did; a fault mid-assembly discards the partial
@@ -849,9 +948,8 @@ Status SpStreamEngine::RunSolo(ExecContext* ctx, QueryState* qs) {
       Timestamp traced_sp_ts = -1;
       for (; i < end; ++i) {
         if (SP_FAULT_FIRED(fault::kOperatorProcess)) {
-          fault_reason =
-              "injected fault at exec.operator_process (single-threaded path)";
-          break;
+          return "injected fault at exec.operator_process "
+                 "(single-threaded path)";
         }
         if (pending[i].is_tuple()) {
           ++tuples_in_batch;
@@ -859,10 +957,9 @@ Status SpStreamEngine::RunSolo(ExecContext* ctx, QueryState* qs) {
                    Tracer::Global().SampleSpBatch(pending[i].ts())) {
           traced_sp_ts = pending[i].ts();
         }
-        // copy: several queries read the same pending input
+        // copy: several groups read the same pending input
         batch.Append(pending[i]);
       }
-      if (!fault_reason.empty() || batch.empty()) break;
       // Batches carrying a sampled sp run under that sp-batch's trace (the
       // downstream PushBatch / SS spans join the batch's lifecycle);
       // everything else stays on the epoch trace set by Run().
@@ -873,49 +970,21 @@ Status SpStreamEngine::RunSolo(ExecContext* ctx, QueryState* qs) {
       try {
         src->FeedBatch(std::move(batch));
       } catch (const std::exception& ex) {
-        fault_reason = std::string("operator threw: ") + ex.what();
-        break;
+        return std::string("operator threw: ") + ex.what();
       } catch (...) {
-        fault_reason = "operator threw a non-std exception";
-        break;
+        return "operator threw a non-std exception";
       }
-      // Synchronous pipelined execution: the batch's wall time is every
-      // member tuple's source→sink latency (batch_size=1 degenerates to the
-      // old per-element sample).
+      // The batch's wall time is every member tuple's source→sink latency
+      // (batch_size=1 degenerates to the old per-element sample).
       if (tuples_in_batch > 0) {
         const int64_t wall = NowNanos() - t0;
         for (int64_t k = 0; k < tuples_in_batch; ++k) {
-          tuple_latency.Record(wall);
+          tuple_latency->Record(wall);
         }
       }
     }
-    if (!fault_reason.empty()) break;
   }
-  if (!fault_reason.empty()) {
-    // Fail the query closed: this epoch's partial output is discarded by
-    // QuarantineQuery, the pipeline is torn down, the engine survives.
-    metrics_.MergeTupleLatency(tag, tuple_latency);
-    QuarantineQuery(qs, fault_reason);
-    return Status::OK();
-  }
-  for (Tuple& t : qs->physical.sink->TakeTuples()) {
-    DeliverResult(qs, std::move(t));
-  }
-  metrics_.MergeTupleLatency(tag, tuple_latency);
-  metrics_.RecordEpochLatency(tag, NowNanos() - epoch_start);
-  qs->pipeline->HarvestInto(&metrics_, tag);
-  return Status::OK();
-}
-
-Status SpStreamEngine::EnsurePipeline(ExecContext* ctx, QueryState* qs) {
-  if (qs->pipeline) return Status::OK();
-  // First run (or after a re-plan): build the long-lived pipeline.
-  qs->pipeline = std::make_unique<Pipeline>(ctx);
-  SP_ASSIGN_OR_RETURN(qs->physical,
-                      BuildStreamingPhysicalPlan(qs->pipeline.get(), qs->plan,
-                                                 options_.physical));
-  qs->pipeline->SetQueryTag(QueryTag(qs));
-  return Status::OK();
+  return "";
 }
 
 void SpStreamEngine::DeliverResult(QueryState* qs, Tuple t) {
@@ -928,66 +997,19 @@ void SpStreamEngine::DeliverResult(QueryState* qs, Tuple t) {
   qs->results.push_back(std::move(t));
 }
 
-Status SpStreamEngine::EnsureShardDecision(ExecContext* ctx, QueryState* qs) {
-  if (qs->shard_decision_made) return Status::OK();
-  qs->shard_decision_made = true;
-  ShardRouting routing = AnalyzeShardRouting(qs->plan);
-  if (!routing.shardable) {
-    qs->shard_fallback = routing.reason;
-    if (options_.enable_audit) {
-      AuditEvent e;
-      e.kind = AuditEventKind::kPlanAdapt;
-      e.scope = QueryTag(qs);
-      e.roles = qs->roles.ToString(roles_);
-      e.detail = "sharding fallback to single-threaded: " + routing.reason;
-      audit_.Append(std::move(e));
-    }
-    return Status::OK();
-  }
-
-  auto shards = std::make_unique<QueryState::ShardSet>();
-  shards->routing = std::move(routing);
-  const std::string tag = QueryTag(qs);
-  for (size_t i = 0; i < shard_manager_->num_shards(); ++i) {
-    auto pipeline = std::make_unique<Pipeline>(ctx);
-    SP_ASSIGN_OR_RETURN(
-        StreamingPhysicalPlan physical,
-        BuildStreamingPhysicalPlan(pipeline.get(), qs->plan,
-                                   options_.physical));
-    // All clones share the query's audit scope; per-shard registry keys
-    // ("q0.shard1") are applied at harvest time instead.
-    pipeline->SetQueryTag(tag);
-    shards->pipelines.push_back(std::move(pipeline));
-    shards->physicals.push_back(std::move(physical));
-  }
-  if (shards->physicals[0].sources.size() !=
-      shards->routing.leaf_keys.size()) {
-    // Router and plan compiler disagree on the leaf list; don't risk a
-    // wrong partition — fall back.
-    qs->shard_fallback = "router/compiler leaf-count mismatch";
-    return Status::OK();
-  }
-  qs->shards = std::move(shards);
-  return Status::OK();
-}
-
-Status SpStreamEngine::RunSharded(QueryState* qs) {
-  const std::string tag = QueryTag(qs);
-  const int64_t epoch_start = NowNanos();
-  QueryState::ShardSet& shards = *qs->shards;
-  const size_t num_shards = shards.pipelines.size();
-
+std::string SpStreamEngine::FeedShards(QueryGroup* g) {
+  const size_t num_shards = g->pipelines.size();
   // Route this epoch's admitted elements leaf by leaf: tuples are
   // hash-partitioned on the leaf's shard key; sps and controls broadcast to
   // every shard so each clone's policy state converges identically.
-  const size_t num_leaves = shards.physicals[0].sources.size();
-  // Same tier-1 throttle as the solo path: smaller hand-off batches bound
+  const size_t num_leaves = g->physicals[0].sources.size();
+  // Same tier-1 throttle as the inline path: smaller hand-off batches bound
   // how much one shard queue can lag the barrier under pressure.
   const size_t batch_size =
       overload_.EffectiveBatchSize(std::max<size_t>(1, options_.batch_size));
   for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
-    const std::string& stream = shards.physicals[0].sources[leaf].first;
-    const LeafShardKey key = shards.routing.leaf_keys[leaf];
+    const std::string& stream = g->physicals[0].sources[leaf].first;
+    const LeafShardKey key = g->routing.leaf_keys[leaf];
     // Per-shard micro-batches: equivalence only needs per-shard element
     // order, so sps/controls ride inline in every shard's batch (broadcast)
     // and tuples only in their hash target's. A shard's batch is handed off
@@ -998,8 +1020,8 @@ Status SpStreamEngine::RunSharded(QueryState* qs) {
     }
     auto flush = [&](size_t s) {
       if (bufs[s].empty()) return;
-      shard_manager_->RouteBatch(
-          s, shards.physicals[s].sources[leaf].second, std::move(bufs[s]));
+      shard_manager_->RouteBatch(s, g->physicals[s].sources[leaf].second,
+                                 std::move(bufs[s]));
       bufs[s] = ElementBatch();
       if (batch_size > 1) bufs[s].BeginColumnar();
     };
@@ -1021,104 +1043,73 @@ Status SpStreamEngine::RunSharded(QueryState* qs) {
   shard_manager_->CompleteEpoch();
 
   // Supervision: the barrier has drained, so any fault recorded since the
-  // previous drain belongs to exactly this query's epoch (Run routes and
-  // barriers one query at a time). A faulted epoch never delivers — partial
-  // sink output is discarded and the query fails closed.
-  std::vector<ShardManager::FaultRecord> faults =
-      shard_manager_->TakeEpochFaults();
-  if (!faults.empty()) {
-    std::string reason;
-    for (const ShardManager::FaultRecord& f : faults) {
-      if (!reason.empty()) reason += "; ";
-      reason += "shard " + std::to_string(f.shard) + " " + f.site + ": " +
-                f.detail;
-    }
-    QuarantineQuery(qs, reason);
-    return Status::OK();
+  // previous drain belongs to exactly this group's epoch (Run routes and
+  // barriers one group at a time).
+  std::string reason;
+  for (const ShardManager::FaultRecord& f : shard_manager_->TakeEpochFaults()) {
+    if (!reason.empty()) reason += "; ";
+    reason +=
+        "shard " + std::to_string(f.shard) + " " + f.site + ": " + f.detail;
   }
-
-  // Deterministic merge: shard id first, arrival order within the shard.
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (Tuple& t : shards.physicals[s].sink->TakeTuples()) {
-      DeliverResult(qs, std::move(t));
-    }
-  }
-  metrics_.RecordEpochLatency(tag, NowNanos() - epoch_start);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shards.pipelines[s]->HarvestInto(&metrics_, ShardTag(tag, s));
-  }
-  return Status::OK();
+  return reason;
 }
 
-void SpStreamEngine::QuarantineQuery(QueryState* qs,
+void SpStreamEngine::AuditGroup(const QueryGroup& g, AuditEventKind kind,
+                                const std::string& detail) {
+  if (!options_.enable_audit) return;
+  for (size_t m : g.members) {
+    AuditEvent e;
+    e.kind = kind;
+    e.scope = QueryTag(&queries_[m]);
+    e.roles = queries_[m].roles.ToString(roles_);
+    e.detail = detail;
+    e.trace_id = Tracer::Global().epoch_trace();
+    audit_.Append(std::move(e));
+  }
+}
+
+void SpStreamEngine::QuarantineGroup(QueryGroup* g,
                                      const std::string& reason) {
-  // Discard the faulted epoch's partial output before teardown: a shard
-  // that went dark mid-epoch may have diverged policy state, so nothing
-  // produced in this epoch is deliverable (fail closed — drop, never leak).
-  if (qs->shards) {
-    for (StreamingPhysicalPlan& physical : qs->shards->physicals) {
-      if (physical.sink != nullptr) (void)physical.sink->TakeTuples();
-    }
-  }
-  if (qs->pipeline && qs->physical.sink != nullptr) {
-    (void)qs->physical.sink->TakeTuples();
-  }
-  qs->staged.clear();
-  qs->quarantined = true;
-  qs->quarantine_reason = reason;
-  ++quarantined_count_;
-  // Commit poisoning is narrowed to the shared-plans mode: solo pipelines
-  // hold no cross-query state, this query's staged output was just
-  // discarded and CommitEpochDurable skips its deltas, so every other
-  // query's epoch commits normally. With share_plans ON the epoch-wide
-  // commit still aborts — staged shared-trunk output of sibling queries may
-  // depend on this query's group, and partial shared progress must not
-  // commit (Run() audits the engine-wide discard).
-  if (options_.share_plans) epoch_had_quarantine_ = true;
+  // Every member is fenced together: they share one DAG, and a clone that
+  // went dark mid-epoch may have diverged policy state, so nothing the DAG
+  // produced this epoch is deliverable to any of them (fail closed — drop,
+  // never leak). Their staged output goes now, the sinks' with the DAG.
+  for (size_t m : g->members) queries_[m].staged.clear();
+  g->quarantined = true;
+  g->quarantine_reason = reason;
+  const int64_t fenced = static_cast<int64_t>(g->members.size());
+  quarantined_count_ += fenced;
   // Self-healing: schedule a backoff-gated recovery attempt, or give up
   // permanently once the attempt budget is spent.
   const OverloadOptions& oo = overload_.options();
-  if (oo.max_recovery_attempts > 0 && !qs->permanently_quarantined) {
-    if (qs->recovery_attempts >= oo.max_recovery_attempts) {
-      qs->permanently_quarantined = true;
-      qs->next_recovery_nanos = 0;
+  if (oo.max_recovery_attempts > 0 && !g->permanently_quarantined) {
+    if (g->recovery_attempts >= oo.max_recovery_attempts) {
+      g->permanently_quarantined = true;
+      g->next_recovery_nanos = 0;
       metrics_.AddCounter("engine.permanent_quarantines");
-      if (options_.enable_audit) {
-        AuditEvent e;
-        e.kind = AuditEventKind::kRecovery;
-        e.scope = QueryTag(qs);
-        e.roles = qs->roles.ToString(roles_);
-        e.detail = "permanently quarantined after " +
-                   std::to_string(qs->recovery_attempts) +
-                   " failed recovery attempts";
-        audit_.Append(std::move(e));
-      }
+      AuditGroup(*g, AuditEventKind::kRecovery,
+                 "permanently quarantined after " +
+                     std::to_string(g->recovery_attempts) +
+                     " failed recovery attempts");
     } else {
       int64_t backoff_ms =
           oo.recovery_backoff_base_ms *
-          (int64_t{1} << std::min(qs->recovery_attempts, 20));
+          (int64_t{1} << std::min(g->recovery_attempts, 20));
       backoff_ms = std::min(backoff_ms, oo.recovery_backoff_max_ms);
-      qs->next_recovery_nanos = NowNanos() + backoff_ms * 1000000;
+      g->next_recovery_nanos = NowNanos() + backoff_ms * 1000000;
     }
   }
   // Incident: snapshot the flight recorder with the epoch's trace id so the
   // spans leading into the quarantine survive for post-mortem.
-  const TraceId quarantine_trace = Tracer::Global().epoch_trace();
-  Tracer::Global().NoteIncident("query_quarantine", quarantine_trace);
+  Tracer::Global().NoteIncident("query_quarantine",
+                                Tracer::Global().epoch_trace());
   // Epoch-consistent teardown: callers reach here only after the shard
-  // barrier drained, so the clones are quiescent and safe to destroy.
-  ResetPipelines(qs);
-  metrics_.AddCounter("engine.query_quarantines");
+  // barrier drained, so the clones are quiescent and safe to destroy. The
+  // shape is unchanged, so the group's checkpoint stays restorable.
+  ResetGroup(g, /*reshaped=*/false);
+  metrics_.AddCounter("engine.query_quarantines", fenced);
   metrics_.SetGauge("engine.queries_quarantined", quarantined_count_);
-  if (options_.enable_audit) {
-    AuditEvent e;
-    e.kind = AuditEventKind::kQueryQuarantine;
-    e.scope = QueryTag(qs);
-    e.roles = qs->roles.ToString(roles_);
-    e.detail = reason;
-    e.trace_id = quarantine_trace;
-    audit_.Append(std::move(e));
-  }
+  AuditGroup(*g, AuditEventKind::kQueryQuarantine, reason);
   if (durability_) {
     // Incident dump: persist the audit tail (including the quarantine event
     // above) now, not at the next clean shutdown — the process may not get
@@ -1128,8 +1119,9 @@ void SpStreamEngine::QuarantineQuery(QueryState* qs,
 }
 
 Result<bool> SpStreamEngine::IsQuarantined(QueryId id) const {
-  SP_ASSIGN_OR_RETURN(const QueryState* qs, FindQuery(id));
-  return qs->quarantined;
+  SP_RETURN_NOT_OK(FindQuery(id).status());
+  const QueryGroup* g = GroupOf(id);
+  return g != nullptr && g->quarantined;
 }
 
 // ---- overload resilience (docs/ROBUSTNESS.md) ------------------------------
@@ -1159,14 +1151,17 @@ void SpStreamEngine::ObservePressure(size_t pending_backlog) {
 int SpStreamEngine::StreamPriority(const std::string& stream_name) const {
   bool any = false;
   int best = 0;
-  for (const QueryState& qs : queries_) {
-    if (!qs.active || qs.quarantined) continue;
-    if (std::find(qs.source_streams.begin(), qs.source_streams.end(),
-                  stream_name) == qs.source_streams.end()) {
-      continue;
+  for (const QueryGroup& g : groups_) {
+    if (g.quarantined) continue;
+    for (size_t m : g.members) {
+      const QueryState& qs = queries_[m];
+      if (std::find(qs.source_streams.begin(), qs.source_streams.end(),
+                    stream_name) == qs.source_streams.end()) {
+        continue;
+      }
+      best = any ? std::max(best, qs.priority) : qs.priority;
+      any = true;
     }
-    best = any ? std::max(best, qs.priority) : qs.priority;
-    any = true;
   }
   return best;
 }
@@ -1174,10 +1169,12 @@ int SpStreamEngine::StreamPriority(const std::string& stream_name) const {
 int SpStreamEngine::TopPriority() const {
   bool any = false;
   int best = 0;
-  for (const QueryState& qs : queries_) {
-    if (!qs.active || qs.quarantined) continue;
-    best = any ? std::max(best, qs.priority) : qs.priority;
-    any = true;
+  for (const QueryGroup& g : groups_) {
+    if (g.quarantined) continue;
+    for (size_t m : g.members) {
+      best = any ? std::max(best, queries_[m].priority) : queries_[m].priority;
+      any = true;
+    }
   }
   return best;
 }
@@ -1216,14 +1213,17 @@ size_t SpStreamEngine::ShedAtAdmission(const std::string& stream_name,
     e.kind = AuditEventKind::kShed;
     e.stream = stream_name;
     std::string scope;
-    for (const QueryState& qs : queries_) {
-      if (!qs.active || qs.quarantined) continue;
-      if (std::find(qs.source_streams.begin(), qs.source_streams.end(),
-                    stream_name) == qs.source_streams.end()) {
-        continue;
+    for (const QueryGroup& g : groups_) {
+      if (g.quarantined) continue;
+      for (size_t m : g.members) {
+        const QueryState& qs = queries_[m];
+        if (std::find(qs.source_streams.begin(), qs.source_streams.end(),
+                      stream_name) == qs.source_streams.end()) {
+          continue;
+        }
+        if (!scope.empty()) scope += ",";
+        scope += QueryTag(&qs);
       }
-      if (!scope.empty()) scope += ",";
-      scope += QueryTag(&qs);
     }
     e.scope = scope.empty() ? "engine" : scope;
     e.detail =
@@ -1246,12 +1246,12 @@ Status SpStreamEngine::SetQueryPriority(QueryId id, int priority) {
 void SpStreamEngine::MaybeRecoverQuarantined() {
   if (overload_.options().max_recovery_attempts <= 0) return;
   const int64_t now = NowNanos();
-  for (QueryState& qs : queries_) {
-    if (!qs.active || !qs.quarantined || qs.permanently_quarantined) continue;
-    if (qs.next_recovery_nanos == 0 || now < qs.next_recovery_nanos) continue;
+  for (QueryGroup& g : groups_) {
+    if (!g.quarantined || g.permanently_quarantined) continue;
+    if (g.next_recovery_nanos == 0 || now < g.next_recovery_nanos) continue;
     // A failed attempt re-arms its own backoff (or goes permanent) inside
-    // RecoverQueryState; the engine keeps serving either way.
-    (void)RecoverQueryState(&qs, /*manual=*/false);
+    // RecoverGroup; the engine keeps serving either way.
+    (void)RecoverGroup(&g, /*manual=*/false);
   }
 }
 
@@ -1260,133 +1260,72 @@ Status SpStreamEngine::RecoverQuery(QueryId id) {
   if (!qs->active) {
     return Status::InvalidArgument("query is deregistered");
   }
-  return RecoverQueryState(qs, /*manual=*/true);
+  QueryGroup* g = GroupOf(id);
+  if (!g->quarantined) {
+    return Status::InvalidArgument("query " + QueryTag(qs) +
+                                   " is not quarantined");
+  }
+  return RecoverGroup(g, /*manual=*/true);
 }
 
-Status SpStreamEngine::RecoverQueryState(QueryState* qs, bool manual) {
-  const std::string tag = QueryTag(qs);
-  if (!qs->quarantined) {
-    return Status::InvalidArgument("query " + tag + " is not quarantined");
-  }
-  if (!manual) ++qs->recovery_attempts;
-  qs->next_recovery_nanos = 0;
-  const QueryId qid = static_cast<QueryId>(qs - queries_.data());
+Status SpStreamEngine::RecoverGroup(QueryGroup* g, bool manual) {
+  if (!manual) ++g->recovery_attempts;
+  g->next_recovery_nanos = 0;
+  const size_t leader = g->members[0];
   TraceSpan span(TraceCat::kEngine, "engine.recover",
-                 Tracer::Global().epoch_trace(), qid, qs->recovery_attempts);
+                 Tracer::Global().epoch_trace(),
+                 static_cast<int64_t>(leader), g->recovery_attempts);
+  const std::string attempt =
+      manual ? std::string("manual recovery")
+             : "recovery attempt " + std::to_string(g->recovery_attempts);
 
-  auto fail = [&](Status st) {
-    // Don't leave a half-built pipeline behind; the query stays
-    // quarantined (fail closed) and the attempt is on the record.
-    ResetPipelines(qs);
+  // Rebuild the DAG torn down at quarantine time (fresh operators start
+  // with deny-all policy trackers — fail closed by construction) and
+  // restore operator state from the last durable checkpoint — the same
+  // delta chain a process restart would replay, filtered to this group —
+  // so windows/aggregates resume where the last commit left them instead
+  // of refilling. SS operators restore FAIL-CLOSED by contract (deny-all
+  // at the checkpointed ts until a fresh sp-batch arrives).
+  Result<std::vector<storage::StateEntry>> blobs =
+      durability_ ? durability_->ReadQueryCheckpoint(
+                        static_cast<uint32_t>(leader))
+                  : Result<std::vector<storage::StateEntry>>(
+                        std::vector<storage::StateEntry>{});
+  Result<size_t> restored =
+      blobs.ok() ? RestoreGroup(g, *blobs) : Result<size_t>(blobs.status());
+  if (!restored.ok()) {
+    // Don't leave a half-built DAG behind; the group stays quarantined
+    // (fail closed) and the attempt is on the record.
+    ResetGroup(g, /*reshaped=*/false);
     metrics_.AddCounter("engine.recovery_failures");
-    const OverloadOptions& oo = overload_.options();
-    if (!manual && qs->recovery_attempts >= oo.max_recovery_attempts) {
-      qs->permanently_quarantined = true;
+    if (!manual &&
+        g->recovery_attempts >= overload_.options().max_recovery_attempts) {
+      g->permanently_quarantined = true;
       metrics_.AddCounter("engine.permanent_quarantines");
     }
-    if (options_.enable_audit) {
-      AuditEvent e;
-      e.kind = AuditEventKind::kRecovery;
-      e.scope = tag;
-      e.roles = qs->roles.ToString(roles_);
-      e.detail = (manual ? std::string("manual recovery")
-                         : "recovery attempt " +
-                               std::to_string(qs->recovery_attempts)) +
-                 " failed: " + st.ToString() +
-                 (qs->permanently_quarantined ? " (now permanent)" : "");
-      e.trace_id = Tracer::Global().epoch_trace();
-      audit_.Append(std::move(e));
-    }
-    return st;
-  };
-
-  // 1. Rebuild the pipelines torn down at quarantine time. Fresh operators
-  //    start with deny-all policy trackers — fail closed by construction.
-  if (shard_manager_) {
-    Status st = EnsureShardDecision(&exec_ctx_, qs);
-    if (!st.ok()) return fail(st);
-  }
-  if (!qs->shards) {
-    Status st = EnsurePipeline(&exec_ctx_, qs);
-    if (!st.ok()) return fail(st);
+    AuditGroup(*g, AuditEventKind::kRecovery,
+               attempt + " failed: " + restored.status().ToString() +
+                   (g->permanently_quarantined ? " (now permanent)" : ""));
+    return restored.status();
   }
 
-  // 2. Restore operator state from the last durable checkpoint — the same
-  //    delta chain a process restart would replay, filtered to this query —
-  //    so windows/aggregates resume where the last commit left them instead
-  //    of refilling. SS operators restore FAIL-CLOSED by contract (deny-all
-  //    at the checkpointed ts until a fresh sp-batch arrives).
-  size_t restored = 0;
-  if (durability_) {
-    auto blobs = durability_->ReadQueryCheckpoint(qid);
-    if (!blobs.ok()) return fail(blobs.status());
-    for (const storage::StateEntry& e : *blobs) {
-      Pipeline* pipeline = nullptr;
-      if (qs->shards) {
-        if (e.key.shard >= qs->shards->pipelines.size()) {
-          return fail(Status::Internal("checkpoint names unknown shard " +
-                                       std::to_string(e.key.shard)));
-        }
-        pipeline = qs->shards->pipelines[e.key.shard].get();
-      } else {
-        if (e.key.shard != 0 || !qs->pipeline) {
-          return fail(Status::Internal(
-              "checkpoint/shard-decision mismatch during recovery"));
-        }
-        pipeline = qs->pipeline.get();
-      }
-      const auto& ops = pipeline->operators();
-      if (e.key.op_index >= ops.size()) {
-        return fail(Status::Internal("checkpoint names unknown operator " +
-                                     std::to_string(e.key.op_index)));
-      }
-      Operator* op = ops[e.key.op_index].get();
-      if (!op->HasDurableState() || op->label() != e.label) {
-        return fail(Status::Internal(
-            "checkpoint/plan mismatch: expected operator '" + e.label +
-            "', found '" + op->label() + "'"));
-      }
-      Status st = op->RestoreState(e.blob);
-      if (!st.ok()) return fail(st);
-      ++restored;
-    }
-    auto finish = [](Pipeline* pipeline) {
-      for (const auto& op : pipeline->operators()) {
-        if (op->HasDurableState()) op->OnRestoreComplete();
-      }
-    };
-    if (qs->shards) {
-      for (const auto& pipeline : qs->shards->pipelines) finish(pipeline.get());
-    } else if (qs->pipeline) {
-      finish(qs->pipeline.get());
-    }
-  }
-
-  // 3. Back in service. A manual recover also clears the permanent flag
-  //    (operator override).
-  qs->quarantined = false;
-  qs->quarantine_reason.clear();
-  qs->permanently_quarantined = false;
-  --quarantined_count_;
+  // Back in service, every member at once. A manual recover also clears
+  // the permanent flag (operator override).
+  g->quarantined = false;
+  g->quarantine_reason.clear();
+  g->permanently_quarantined = false;
+  const int64_t healed = static_cast<int64_t>(g->members.size());
+  quarantined_count_ -= healed;
   metrics_.SetGauge("engine.queries_quarantined", quarantined_count_);
-  metrics_.AddCounter("engine.query_recoveries");
+  metrics_.AddCounter("engine.query_recoveries", healed);
   Tracer::Global().FlightMark(TraceCat::kIncident, "query_recovered",
-                              Tracer::Global().epoch_trace(), qid,
-                              qs->recovery_attempts);
-  if (options_.enable_audit) {
-    AuditEvent e;
-    e.kind = AuditEventKind::kRecovery;
-    e.scope = tag;
-    e.roles = qs->roles.ToString(roles_);
-    e.detail = (manual ? std::string("manual recovery")
-                       : "recovery attempt " +
-                             std::to_string(qs->recovery_attempts)) +
-               " succeeded (" + std::to_string(restored) +
-               " state blobs restored); policy trackers fail closed until "
-               "the next sp-batch";
-    e.trace_id = Tracer::Global().epoch_trace();
-    audit_.Append(std::move(e));
-  }
+                              Tracer::Global().epoch_trace(),
+                              static_cast<int64_t>(leader),
+                              g->recovery_attempts);
+  AuditGroup(*g, AuditEventKind::kRecovery,
+             attempt + " succeeded (" + std::to_string(*restored) +
+                 " state blobs restored); policy trackers fail closed until "
+                 "the next sp-batch");
   if (durability_) (void)durability_->FlushAuditTail(audit_);
   return Status::OK();
 }
@@ -1398,82 +1337,28 @@ Status SpStreamEngine::SubscribeResults(
   return Status::OK();
 }
 
-Status SpStreamEngine::RunSharedGroup(
-    ExecContext* ctx, const std::vector<size_t>& query_indexes) {
-  std::vector<RoleSet> group_roles;
-  group_roles.reserve(query_indexes.size());
-  for (size_t i : query_indexes) {
-    group_roles.push_back(queries_[i].roles);
-  }
-  QueryState& first = queries_[query_indexes[0]];
-  SharedPlan shared = BuildSharedPlan(first.bare_plan, group_roles);
-  const std::string trunk_tag = "shared:" + QueryTag(&first);
-
-  std::unordered_map<std::string, std::vector<StreamElement>> inputs;
-  for (const std::string& s : first.source_streams) {
-    inputs[s] = stream_states_.at(s).pending;
-  }
-
-  // One execution of the merged-SS trunk...
-  const int64_t epoch_start = NowNanos();
-  Pipeline trunk_pipeline(ctx);
-  SP_ASSIGN_OR_RETURN(PhysicalPlan trunk,
-                      BuildPhysicalPlan(&trunk_pipeline, shared.trunk,
-                                        inputs, options_.physical));
-  trunk_pipeline.SetQueryTag(trunk_tag);
-  trunk_pipeline.Run(/*batch_per_poll=*/64);
-  const std::vector<StreamElement>& trunk_out = trunk.sink->elements();
-  // Shared trunks are rebuilt every epoch, so their counters accumulate
-  // into the registry by merging (unlike long-lived solo pipelines, whose
-  // cumulative counters overwrite).
-  trunk_pipeline.HarvestInto(&metrics_, trunk_tag,
-                             Pipeline::HarvestMode::kMerge);
-
-  // ...then one cheap split shield per query over the (small) shared
-  // output.
-  for (size_t i : query_indexes) {
-    QueryState& qs = queries_[i];
-    const std::string tag = QueryTag(&qs);
-    Pipeline split(ctx);
-    auto* src = split.Add<SourceOperator>("trunk", trunk_out);
-    SsOptions o;
-    o.predicates = {qs.roles};
-    o.stream_name = trunk.output_stream_name;
-    o.schema = trunk.output_schema;
-    auto* ss = split.Add<SsOperator>(std::move(o), "split_ss");
-    auto* sink = split.Add<CollectorSink>();
-    src->AddOutput(ss);
-    ss->AddOutput(sink);
-    split.SetQueryTag(tag);
-    split.Run(/*batch_per_poll=*/64);
-    for (Tuple& t : sink->Tuples()) {
-      DeliverResult(&qs, std::move(t));
-    }
-    split.HarvestInto(&metrics_, tag, Pipeline::HarvestMode::kMerge);
-    metrics_.RecordEpochLatency(tag, NowNanos() - epoch_start);
-  }
-  return Status::OK();
-}
-
 // ---- durable state (docs/DURABILITY.md) ------------------------------------
 
 Status SpStreamEngine::CommitEpochDurable() {
   TraceSpan span(TraceCat::kStorage, "storage.commit",
                  Tracer::CurrentTrace(), committed_epochs_ + 1);
-  const bool full = durability_->WantsFullCheckpoint();
+  // A reshaped group's entries from its old DAG still sit in the delta
+  // chain under its leader's id; a full rebase is what drops them.
+  bool full = durability_->WantsFullCheckpoint();
+  for (const QueryGroup& g : groups_) full |= g.checkpoint_stale;
   std::vector<storage::StateEntry> entries;
   std::vector<Operator*> durable_ops;
-  for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    QueryState& qs = queries_[qi];
-    if (!qs.active || qs.quarantined) continue;
-    auto collect = [&](Pipeline* pipeline, uint32_t shard) {
-      const auto& ops = pipeline->operators();
+  for (const QueryGroup& g : groups_) {
+    if (g.quarantined) continue;
+    // A group's entries are keyed by its leader query.
+    for (size_t c = 0; c < g.pipelines.size(); ++c) {
+      const auto& ops = g.pipelines[c]->operators();
       for (size_t oi = 0; oi < ops.size(); ++oi) {
         Operator* op = ops[oi].get();
         if (!op->HasDurableState()) continue;
         storage::StateEntry entry;
-        entry.key.query = static_cast<uint32_t>(qi);
-        entry.key.shard = shard;
+        entry.key.query = static_cast<uint32_t>(g.members[0]);
+        entry.key.shard = static_cast<uint32_t>(c);
         entry.key.op_index = static_cast<uint32_t>(oi);
         entry.label = op->label();
         op->CheckpointState(&entry.blob, full);
@@ -1481,13 +1366,6 @@ Status SpStreamEngine::CommitEpochDurable() {
         // An empty blob means "unchanged since the cursor" — elided.
         if (!entry.blob.empty()) entries.push_back(std::move(entry));
       }
-    };
-    if (qs.shards) {
-      for (size_t s = 0; s < qs.shards->pipelines.size(); ++s) {
-        collect(qs.shards->pipelines[s].get(), static_cast<uint32_t>(s));
-      }
-    } else if (qs.pipeline) {
-      collect(qs.pipeline.get(), 0);
     }
   }
   storage::EpochMeta meta;
@@ -1498,13 +1376,16 @@ Status SpStreamEngine::CommitEpochDurable() {
   SP_RETURN_NOT_OK(durability_->CommitEpoch(meta, full, entries));
   // The commit point passed: only now may checkpoint cursors advance.
   for (Operator* op : durable_ops) op->OnCheckpointDurable();
+  if (full) {
+    for (QueryGroup& g : groups_) g.checkpoint_stale = false;
+  }
   ++committed_epochs_;
   metrics_.SetGauge("storage.durable_epochs", committed_epochs_);
   return Status::OK();
 }
 
 Status SpStreamEngine::ReplayCatalog(
-    const std::vector<storage::WalRecord>& records) {
+    std::span<const storage::WalRecord> records) {
   using storage::WalRecordType;
   for (const storage::WalRecord& r : records) {
     const std::string_view data = r.payload;
@@ -1569,9 +1450,17 @@ Status SpStreamEngine::ApplyRecoveredState() {
 
   // 1. Replay the catalog in WAL order. The engine's own Register* methods
   // run the real validation/planning, and dense ids (roles, queries) come
-  // out identical because the order is identical.
+  // out identical because the order is identical. The delta chain was cut
+  // from the groups the records up to the last commit build; a group that a
+  // later record reshapes has none of its current DAG's entries in the chain
+  // and starts empty, as the reset left it before the crash.
   replaying_ = true;
-  Status catalog_st = ReplayCatalog(rec.catalog);
+  const std::span<const storage::WalRecord> catalog(rec.catalog);
+  Status catalog_st = ReplayCatalog(catalog.first(rec.catalog_committed));
+  if (catalog_st.ok()) {
+    for (QueryGroup& g : groups_) g.checkpoint_stale = false;
+    catalog_st = ReplayCatalog(catalog.subspan(rec.catalog_committed));
+  }
   replaying_ = false;
   SP_RETURN_NOT_OK(catalog_st);
 
@@ -1587,64 +1476,16 @@ Status SpStreamEngine::ApplyRecoveredState() {
   const bool layout_matches =
       rec.num_shards == static_cast<int>(options_.num_shards);
   if (!rec.blobs.empty() && layout_matches) {
-    for (QueryState& qs : queries_) {
-      if (!qs.active || qs.quarantined) continue;
-      if (shard_manager_) {
-        SP_RETURN_NOT_OK(EnsureShardDecision(&exec_ctx_, &qs));
-      }
-      if (!qs.shards) SP_RETURN_NOT_OK(EnsurePipeline(&exec_ctx_, &qs));
-    }
-    // Apply the delta chain oldest-first; each blob must land on the exact
-    // operator it was cut from (label validated — a plan mismatch is loud).
     for (const storage::StateEntry& e : rec.blobs) {
       if (e.key.query >= queries_.size()) {
         return Status::Internal("checkpoint names unknown query " +
                                 std::to_string(e.key.query));
       }
-      QueryState& qs = queries_[e.key.query];
-      if (!qs.active) continue;  // deregistered later in the WAL
-      Pipeline* pipeline = nullptr;
-      if (qs.shards) {
-        if (e.key.shard >= qs.shards->pipelines.size()) {
-          return Status::Internal("checkpoint names unknown shard " +
-                                  std::to_string(e.key.shard));
-        }
-        pipeline = qs.shards->pipelines[e.key.shard].get();
-      } else {
-        if (e.key.shard != 0 || !qs.pipeline) {
-          return Status::Internal("checkpoint/shard-decision mismatch for q" +
-                                  std::to_string(e.key.query));
-        }
-        pipeline = qs.pipeline.get();
-      }
-      const auto& ops = pipeline->operators();
-      if (e.key.op_index >= ops.size()) {
-        return Status::Internal("checkpoint names unknown operator index " +
-                                std::to_string(e.key.op_index));
-      }
-      Operator* op = ops[e.key.op_index].get();
-      if (!op->HasDurableState() || op->label() != e.label) {
-        return Status::Internal(
-            "checkpoint/plan mismatch: expected operator '" + e.label +
-            "', found '" + op->label() + "'");
-      }
-      SP_RETURN_NOT_OK(op->RestoreState(e.blob));
     }
-    // Chain applied: let operators rebuild derived structures (SPIndex etc).
-    for (QueryState& qs : queries_) {
-      if (!qs.active) continue;
-      auto finish = [](Pipeline* pipeline) {
-        for (const auto& op : pipeline->operators()) {
-          if (op->HasDurableState()) op->OnRestoreComplete();
-        }
-      };
-      if (qs.shards) {
-        for (const auto& pipeline : qs.shards->pipelines) {
-          finish(pipeline.get());
-        }
-      } else if (qs.pipeline) {
-        finish(qs.pipeline.get());
-      }
+    // Entries of a deregistered query (or of an earlier grouping) have no
+    // group led by it and are skipped.
+    for (QueryGroup& g : groups_) {
+      SP_RETURN_NOT_OK(RestoreGroup(&g, rec.blobs).status());
     }
   }
 
@@ -1662,6 +1503,45 @@ Status SpStreamEngine::ApplyRecoveredState() {
     audit_.Append(std::move(e));
   }
   return Status::OK();
+}
+
+Result<size_t> SpStreamEngine::RestoreGroup(
+    QueryGroup* g, const std::vector<storage::StateEntry>& entries) {
+  SP_RETURN_NOT_OK(CompileGroup(g));
+  // Entries cut from an older shape of the group would restore state its
+  // reset already discarded: it stays empty (fail closed).
+  if (g->checkpoint_stale) return size_t{0};
+  // Apply the delta chain oldest-first; each blob must land on the exact
+  // operator it was cut from (label validated — a plan mismatch is loud).
+  size_t restored = 0;
+  for (const storage::StateEntry& e : entries) {
+    if (e.key.query != g->members[0]) continue;
+    if (e.key.shard >= g->pipelines.size()) {
+      return Status::Internal("checkpoint names unknown shard " +
+                              std::to_string(e.key.shard) + " of q" +
+                              std::to_string(e.key.query));
+    }
+    const auto& ops = g->pipelines[e.key.shard]->operators();
+    if (e.key.op_index >= ops.size()) {
+      return Status::Internal("checkpoint names unknown operator index " +
+                              std::to_string(e.key.op_index));
+    }
+    Operator* op = ops[e.key.op_index].get();
+    if (!op->HasDurableState() || op->label() != e.label) {
+      return Status::Internal(
+          "checkpoint/plan mismatch: expected operator '" + e.label +
+          "', found '" + op->label() + "'");
+    }
+    SP_RETURN_NOT_OK(op->RestoreState(e.blob));
+    ++restored;
+  }
+  // Chain applied: let operators rebuild derived structures (SPIndex etc).
+  for (const auto& pipeline : g->pipelines) {
+    for (const auto& op : pipeline->operators()) {
+      if (op->HasDurableState()) op->OnRestoreComplete();
+    }
+  }
+  return restored;
 }
 
 Result<std::vector<Tuple>> SpStreamEngine::Results(QueryId id) const {

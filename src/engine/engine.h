@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,11 +42,12 @@ struct EngineOptions {
   /// any optimization: at the sources (intermediate, the default), at the
   /// plan root (post-filter), or pre-filtering with sp stripping.
   SsPlacement initial_placement = SsPlacement::kIntermediate;
-  /// Multi-query sharing (§VI.C): queries whose shield-free plans are
-  /// identical execute one shared trunk behind a merged SS, then per-query
-  /// split shields — instead of one full pipeline each. Note: shared
-  /// trunks are rebuilt per Run() epoch, so policies do NOT persist across
-  /// epochs in this mode (solo pipelines are long-lived and persist).
+  /// Multi-query sharing (§VI.C): decides how queries are grouped. Every
+  /// query group compiles into one long-lived DAG. On, queries with equal
+  /// shield-free plans form one group: a merged SS and the shared subplan
+  /// run once, then one split SS and sink per query. Off, every query is a
+  /// group of one. Either way the DAG keeps its policies and windows across
+  /// Run() epochs, and checkpoints, shards and self-heals the same way.
   bool share_plans = false;
   /// Physical compilation knobs (join implementation, skipping rule, ...).
   PhysicalPlanOptions physical;
@@ -56,7 +58,7 @@ struct EngineOptions {
   /// CAPE-style runtime adaptivity: measure each epoch's streams
   /// (rates, roles-per-sp, per-role match fractions) and re-optimize
   /// registered plans against the measured numbers. A query whose optimal
-  /// shape changes gets a rebuilt pipeline (continuous state resets —
+  /// shape changes gets its group's DAG rebuilt (continuous state resets —
   /// windows refill, the next sps re-install policies).
   bool adaptive = false;
   /// Security audit log (policy installs/expirations, denials, plan swaps).
@@ -65,15 +67,15 @@ struct EngineOptions {
   /// Ring-buffer capacity of the audit log (all-time per-kind counters
   /// survive eviction).
   size_t audit_log_capacity = 1024;
-  /// Intra-query parallelism: > 1 hash-partitions each query's tuples by a
-  /// plan-derived shard key across this many worker shards, each running
-  /// its own clone of the physical pipeline on its own thread. Security
+  /// Intra-query parallelism: > 1 hash-partitions each query group's tuples
+  /// by a plan-derived shard key across this many worker shards, each
+  /// running its own clone of the group's DAG on its own thread. Security
   /// punctuations are broadcast to every shard, so each clone's policy
   /// state converges to the single-threaded engine's; the merge sink
   /// collects per-shard outputs in (shard id, arrival order) — the result
   /// multiset is identical to a 1-shard run (tests/shard_equivalence_test).
   /// Plans with no safe hash partition (e.g. conflicting key requirements)
-  /// fall back to the single-threaded path per query. 1 = today's fully
+  /// fall back to the single-threaded path per group. 1 = today's fully
   /// single-threaded behavior.
   size_t num_shards = 1;
   /// Per-shard hand-off queue capacity (elements). Routing blocks when a
@@ -202,9 +204,10 @@ class SpStreamEngine {
   Status SetQueryPriority(QueryId id, int priority);
 
   /// \brief Retry a quarantined query NOW (the CLI's `\recover`): rebuild
-  /// its pipelines, restore operator state from the last durable checkpoint
-  /// when durability is on, and re-arm its policy trackers fail-closed so
-  /// nothing delivers until a fresh sp-batch authorizes it. A manual call
+  /// its group's DAG, restore operator state from the group's last durable
+  /// checkpoint when durability is on, and re-arm its policy trackers
+  /// fail-closed so nothing delivers until a fresh sp-batch authorizes it.
+  /// Every member of the group comes back with it. A manual call
   /// is always allowed — including on a permanently-quarantined query
   /// (operator override) — and does not count against
   /// OverloadOptions::max_recovery_attempts.
@@ -232,7 +235,8 @@ class SpStreamEngine {
   StreamCatalog* streams() { return &streams_; }
   const SpAnalyzerStats* analyzer_stats(const std::string& stream) const;
   size_t query_count() const { return queries_.size(); }
-  /// \brief Whether a query was quarantined by the fault supervisor.
+  /// \brief Whether a query's group is quarantined by the fault supervisor
+  /// (false once the query is deregistered).
   Result<bool> IsQuarantined(QueryId id) const;
   /// \brief Queries quarantined so far (gauge engine.queries_quarantined).
   int64_t quarantined_count() const { return quarantined_count_; }
@@ -283,38 +287,41 @@ class SpStreamEngine {
     std::vector<Tuple> staged;
     std::function<void(const Tuple&)> callback;  // optional push delivery
     bool active = true;
-    // Long-lived continuous pipeline (solo mode): operator state — the
-    // policies in force, windows, aggregates — persists across Run()
-    // epochs, like a genuinely continuous query. Rebuilt (state reset)
-    // after a re-plan.
-    std::unique_ptr<Pipeline> pipeline;
-    StreamingPhysicalPlan physical;
-    // Sharded solo mode (num_shards > 1): N long-lived pipeline clones,
-    // one per worker shard, plus the plan-derived per-leaf routing keys.
-    // Like `pipeline`, clones persist across epochs and are torn down on
-    // re-plan. Null until the first Run(), or when the plan proved
-    // unshardable (shard_fallback records why).
-    struct ShardSet {
-      ShardRouting routing;
-      std::vector<std::unique_ptr<Pipeline>> pipelines;
-      std::vector<StreamingPhysicalPlan> physicals;
-    };
-    std::unique_ptr<ShardSet> shards;
-    // Set once sharding was considered for the current plan; with an empty
-    // `shards` it means fallback to the single-threaded path.
-    bool shard_decision_made = false;
-    std::string shard_fallback;  // reason when the plan is unshardable
-    // Supervision: a faulted shard or operator fails the *query*, not the
-    // engine. A quarantined query stops executing (Run skips it), its
-    // faulted epoch's partial output is discarded (fail closed — a clone
-    // with diverged policy state must not deliver), and its pipelines are
-    // torn down. Already-delivered results from earlier epochs stand: they
-    // were produced under fully-applied policies. Results already
-    // accumulated stay readable.
+    // ShedPolicy::kPriority protection rank (SetQueryPriority).
+    int priority = 0;
+  };
+
+  /// A query group: 1..N active queries executing one long-lived DAG,
+  /// compiled lazily at the group's first Run() and torn down (state reset)
+  /// whenever its membership or a member's plan changes. With share_plans
+  /// on, members share an equal shield-free plan (§VI.C); otherwise every
+  /// group has exactly one member.
+  struct QueryGroup {
+    std::vector<size_t> members;  // query indexes, ascending; [0] leads
+    // One root per member: its optimized plan (a group of one), or its
+    // split SS over the shared trunk. Set at compile time; holds the plan
+    // nodes that `physicals[i].node_ops` is keyed by.
+    std::vector<LogicalNodePtr> roots;
+    // One DAG clone when running inline, else one per worker shard
+    // (`routing.shardable`), with the plan-derived per-leaf routing keys.
+    std::vector<std::unique_ptr<Pipeline>> pipelines;
+    std::vector<StreamingPhysicalPlan> physicals;
+    ShardRouting routing;
+    std::string shard_fallback;  // why sharding was refused, if it was
+    // The durable chain's entries under the leader were cut from an older
+    // DAG shape (a member joined or left, or a plan changed since the last
+    // commit): restore skips them and the next commit is a full rebase.
+    bool checkpoint_stale = false;
+    // Supervision: a faulted shard or operator fails the whole group, not
+    // the engine. A quarantined group stops executing (Run skips it), its
+    // faulted epoch's partial output is discarded for every member (fail
+    // closed — a clone with diverged policy state must not deliver), and
+    // its DAG is torn down. Already-delivered results from earlier epochs
+    // stand: they were produced under fully-applied policies.
     bool quarantined = false;
     std::string quarantine_reason;
     // Self-healing (docs/ROBUSTNESS.md): with max_recovery_attempts > 0 the
-    // engine retries a quarantined query at the top of Run() once its
+    // engine retries a quarantined group at the top of Run() once its
     // capped-exponential backoff elapses, restoring operator state from the
     // last durable checkpoint and re-arming policy trackers fail-closed.
     // After max_recovery_attempts re-quarantines it goes dark permanently
@@ -322,45 +329,51 @@ class SpStreamEngine {
     int recovery_attempts = 0;
     int64_t next_recovery_nanos = 0;  // backoff gate; 0 = no retry scheduled
     bool permanently_quarantined = false;
-    // ShedPolicy::kPriority protection rank (SetQueryPriority).
-    int priority = 0;
   };
 
-  /// Execute one group of share-compatible queries through a shared trunk.
-  Status RunSharedGroup(ExecContext* ctx,
-                        const std::vector<size_t>& query_indexes);
-  /// Execute one query through its own full pipeline.
-  Status RunSolo(ExecContext* ctx, QueryState* qs);
-  /// Execute one query across the worker shards: route this epoch's
-  /// admitted tuples by shard key, broadcast sps, barrier, merge sinks.
-  Status RunSharded(QueryState* qs);
-  /// Decide (once per plan) whether `qs` runs sharded; builds the pipeline
-  /// clones when it does.
-  Status EnsureShardDecision(ExecContext* ctx, QueryState* qs);
-  /// Build the query's long-lived solo pipeline if absent.
-  Status EnsurePipeline(ExecContext* ctx, QueryState* qs);
+  /// Compile the group's DAG (and shard clones) if it has none.
+  Status CompileGroup(QueryGroup* g);
+  /// Execute one epoch of a group: feed inline or route across the worker
+  /// shards, then deliver each member's results.
+  Status RunGroup(QueryGroup* g);
+  /// Feed this epoch's admitted elements through the inline DAG; returns a
+  /// fault reason, empty when the epoch ran clean.
+  std::string FeedInline(QueryGroup* g, Histogram* tuple_latency);
+  /// Route this epoch's admitted tuples by shard key, broadcast sps,
+  /// barrier; returns the shards' fault reason, empty when clean.
+  std::string FeedShards(QueryGroup* g);
   /// Deliver one result tuple: straight to results/callback, or staged
   /// until the epoch's durable commit when durability is on.
   void DeliverResult(QueryState* qs, Tuple t);
   /// Collect this epoch's operator-state deltas and run the commit
   /// protocol; advances checkpoint cursors only on success.
   Status CommitEpochDurable();
-  /// Replay the recovered catalog, rebuild pipelines, apply the delta
-  /// chain, and re-arm policy trackers fail-closed.
+  /// Replay the recovered catalog, rebuild DAGs, apply the delta chain,
+  /// and re-arm policy trackers fail-closed.
   Status ApplyRecoveredState();
-  Status ReplayCatalog(const std::vector<storage::WalRecord>& records);
-  /// Fail the query closed after a fault: discard this epoch's partial
-  /// sink output, tear down its pipelines (epoch-consistent: callers
-  /// already drained the shard barrier), audit + count it, and stop
-  /// executing it. The engine itself keeps running.
-  void QuarantineQuery(QueryState* qs, const std::string& reason);
-  /// Self-healing pass at the top of Run(): retry quarantined queries whose
-  /// backoff elapsed; mark the attempts-exhausted ones permanent.
+  Status ReplayCatalog(std::span<const storage::WalRecord> records);
+  /// Compile `g` and apply, oldest first, the checkpoint entries keyed by
+  /// its leader, each to the operator it was cut from (label validated);
+  /// then let every durable operator rebuild derived structures. A group
+  /// with a stale checkpoint restores nothing. Returns the number of blobs
+  /// restored.
+  Result<size_t> RestoreGroup(QueryGroup* g,
+                              const std::vector<storage::StateEntry>& entries);
+  /// Fail the group closed after a fault: discard its members' epoch
+  /// output, tear down its DAG (epoch-consistent: callers already drained
+  /// the shard barrier), audit + count every member, and stop executing it.
+  /// No other group is touched.
+  void QuarantineGroup(QueryGroup* g, const std::string& reason);
+  /// Self-healing pass at the top of Run(): retry quarantined groups whose
+  /// backoff elapsed.
   void MaybeRecoverQuarantined();
-  /// One recovery attempt for `qs` (shared by the backoff loop and the
-  /// manual RecoverQuery). Rebuilds pipelines, restores the last durable
-  /// checkpoint, re-arms fail-closed, audits the outcome.
-  Status RecoverQueryState(QueryState* qs, bool manual);
+  /// One recovery attempt for a quarantined group (shared by the backoff
+  /// loop and the manual RecoverQuery). Rebuilds its DAG, restores the last
+  /// durable checkpoint, re-arms fail-closed, audits the outcome.
+  Status RecoverGroup(QueryGroup* g, bool manual);
+  /// One audit event of `kind` per member of `g`, scoped to the member.
+  void AuditGroup(const QueryGroup& g, AuditEventKind kind,
+                  const std::string& detail);
   /// Admission-time load shedding: returns the number of data tuples
   /// dropped from `elements` (sps/controls are never touched). Audits and
   /// meters the shed when non-zero.
@@ -373,19 +386,29 @@ class SpStreamEngine {
   /// the highest across all active queries, for the priority shed policy).
   int StreamPriority(const std::string& stream_name) const;
   int TopPriority() const;
-  /// Registry key of one shard's pipeline clone ("q0.shard1").
-  static std::string ShardTag(const std::string& query_tag, size_t shard);
   /// Adaptive mode: re-optimize plans against measured statistics.
   Status AdaptPlans();
 
   /// Registry key of a query ("q<id>").
   std::string QueryTag(const QueryState* qs) const;
-  /// Fold a query's live pipeline metrics into the registry's retired
-  /// accumulator (called right before a pipeline is rebuilt or torn down).
-  void RetirePipelineMetrics(QueryState* qs);
-  /// Retire metrics and tear down the query's pipeline(s) — solo and
-  /// sharded — so the next Run() rebuilds them against the current plan.
-  void ResetPipelines(QueryState* qs);
+  /// Registry key of a group's DAG: "q<id>" for a group of one,
+  /// "shared:q<leader>" otherwise.
+  std::string GroupTag(const QueryGroup& g) const;
+  /// Registry key of one DAG clone: the group tag, suffixed ".shard<i>"
+  /// when the group runs sharded.
+  std::string CloneTag(const QueryGroup& g, size_t clone) const;
+  /// The group `query` belongs to (nullptr for a deregistered query).
+  QueryGroup* GroupOf(size_t query);
+  const QueryGroup* GroupOf(size_t query) const;
+  /// Put a freshly registered query into its group (resetting the group
+  /// it joins) / take a deregistered one out of its group.
+  void JoinGroup(size_t query);
+  void LeaveGroup(size_t query);
+  /// Retire the group's live metrics and tear down its DAG so the next
+  /// Run() recompiles it against the current members and plans. `reshaped`
+  /// (membership or a compiled plan changed) also marks the group's
+  /// checkpoint entries stale.
+  void ResetGroup(QueryGroup* g, bool reshaped);
   /// Publish per-stream SP Analyzer admission stats as registry gauges.
   void SyncAnalyzerStats();
 
@@ -403,6 +426,9 @@ class SpStreamEngine {
   std::unordered_map<std::string, StreamState> stream_states_;
   std::unordered_map<std::string, Subject> subjects_;
   std::vector<QueryState> queries_;
+  /// Query groups of the active queries, in leader-index order (the order
+  /// Run() executes them).
+  std::vector<QueryGroup> groups_;
   std::unordered_map<std::string, StreamStatistics> measured_stats_;
   int64_t adaptations_ = 0;
   int64_t quarantined_count_ = 0;
@@ -417,19 +443,10 @@ class SpStreamEngine {
   /// True while the constructor replays WAL catalog records — suppresses
   /// re-logging the mutations being replayed.
   bool replaying_ = false;
-  /// A quarantine poisoned the current Run() epoch's durable commit. With
-  /// share_plans OFF this stays false on a quarantine: solo pipelines hold
-  /// no cross-query state, the quarantined query's staged output is
-  /// discarded by QuarantineQuery itself and its deltas are skipped by
-  /// CommitEpochDurable, so every other query's epoch commits normally.
-  /// With share_plans ON a quarantine still aborts the engine-wide commit —
-  /// shared-trunk output staged for sibling queries may depend on the
-  /// faulted query's group.
-  bool epoch_had_quarantine_ = false;
   std::vector<storage::DurableSession> recovered_sessions_;
   uint64_t recovered_next_session_id_ = 1;
   /// Worker-shard pool (null when num_shards <= 1). Declared after
-  /// queries_ so destruction joins the workers BEFORE the pipelines they
+  /// groups_ so destruction joins the workers BEFORE the pipelines they
   /// feed are torn down.
   std::unique_ptr<ShardManager> shard_manager_;
   /// Overload resilience (docs/ROBUSTNESS.md): pressure state machine fed

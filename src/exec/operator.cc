@@ -200,18 +200,14 @@ void Pipeline::SetQueryTag(const std::string& tag) {
   }
 }
 
-void Pipeline::HarvestInto(MetricsRegistry* registry, const std::string& query,
-                           HarvestMode mode) const {
+void Pipeline::HarvestInto(MetricsRegistry* registry,
+                           const std::string& query) const {
   std::unordered_map<std::string, int> seen;
   for (const std::unique_ptr<Operator>& op : operators_) {
     std::string key = op->label();
     const int n = seen[key]++;
     if (n > 0) key += "#" + std::to_string(n);
-    if (mode == HarvestMode::kOverwrite) {
-      registry->UpdateLiveOperator(query, key, op->metrics());
-    } else {
-      registry->MergeOperator(query, key, op->metrics());
-    }
+    registry->UpdateLiveOperator(query, key, op->metrics());
   }
 }
 

@@ -376,16 +376,10 @@ class Pipeline {
   /// and registry scoping).
   void SetQueryTag(const std::string& tag);
 
-  /// \brief How HarvestInto records operator metrics in a registry.
-  enum class HarvestMode {
-    kOverwrite,  ///< long-lived pipeline: operators accumulate, overwrite
-    kMerge,      ///< per-epoch pipeline: fresh metrics each run, fold in
-  };
-
-  /// \brief Publish every operator's metrics into `registry` under `query`.
+  /// \brief Publish every operator's cumulative metrics into `registry` as
+  /// the live entries of `query` (overwriting the previous harvest).
   /// Duplicate labels are disambiguated with a "#n" suffix in DAG order.
-  void HarvestInto(MetricsRegistry* registry, const std::string& query,
-                   HarvestMode mode = HarvestMode::kOverwrite) const;
+  void HarvestInto(MetricsRegistry* registry, const std::string& query) const;
 
   const std::vector<std::unique_ptr<Operator>>& operators() const {
     return operators_;

@@ -36,8 +36,11 @@ class PlanCompiler {
         node_ops_(node_ops) {}
 
   Result<SubtreeInfo> Compile(const LogicalNodePtr& node) {
+    auto done = compiled_.find(node.get());
+    if (done != compiled_.end()) return done->second;
     SP_ASSIGN_OR_RETURN(SubtreeInfo info, CompileNode(node));
     if (node_ops_) (*node_ops_)[node.get()] = info.top;
+    compiled_.emplace(node.get(), info);
     return info;
   }
 
@@ -199,6 +202,8 @@ class PlanCompiler {
   SourceFactory make_source_;
   const PhysicalPlanOptions& options_;
   std::unordered_map<const LogicalNode*, Operator*>* node_ops_;
+  // Memo of compiled subtrees: a node shared by several roots compiles once.
+  std::unordered_map<const LogicalNode*, SubtreeInfo> compiled_;
 };
 
 }  // namespace
@@ -232,7 +237,7 @@ Result<PhysicalPlan> BuildPhysicalPlan(
 }
 
 Result<StreamingPhysicalPlan> BuildStreamingPhysicalPlan(
-    Pipeline* pipeline, const LogicalNodePtr& plan,
+    Pipeline* pipeline, const std::vector<LogicalNodePtr>& roots,
     const PhysicalPlanOptions& options) {
   StreamingPhysicalPlan out;
   PlanCompiler compiler(
@@ -243,12 +248,11 @@ Result<StreamingPhysicalPlan> BuildStreamingPhysicalPlan(
         return src;
       },
       options, &out.node_ops);
-  SP_ASSIGN_OR_RETURN(SubtreeInfo info, compiler.Compile(plan));
-  out.root = info.top;
-  out.output_schema = info.schema;
-  out.output_stream_name = info.stream_name;
-  out.sink = pipeline->Add<CollectorSink>();
-  info.top->AddOutput(out.sink);
+  for (const LogicalNodePtr& root : roots) {
+    SP_ASSIGN_OR_RETURN(SubtreeInfo info, compiler.Compile(root));
+    out.sinks.push_back(pipeline->Add<CollectorSink>());
+    info.top->AddOutput(out.sinks.back());
+  }
   return out;
 }
 

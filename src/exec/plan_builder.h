@@ -45,23 +45,22 @@ Result<PhysicalPlan> BuildPhysicalPlan(
     const std::unordered_map<std::string, std::vector<StreamElement>>& inputs,
     const PhysicalPlanOptions& options = {});
 
-/// \brief Result of compiling a *continuous* plan: externally-fed sources
-/// keyed by stream name (one entry per source leaf).
+/// \brief Result of compiling *continuous* plans: externally-fed sources
+/// keyed by stream name (one entry per source leaf) and one sink per root.
 struct StreamingPhysicalPlan {
   std::vector<std::pair<std::string, PushSource*>> sources;
-  CollectorSink* sink = nullptr;
-  Operator* root = nullptr;
-  SchemaPtr output_schema;
-  std::string output_stream_name;
+  std::vector<CollectorSink*> sinks;  // sinks[i] collects roots[i]'s output
   /// Logical node -> top physical operator of its compiled subtree.
   std::unordered_map<const LogicalNode*, Operator*> node_ops;
 };
 
-/// \brief Compile `plan` with PushSource leaves for long-lived execution:
-/// the caller feeds admitted elements incrementally and operator state
-/// (policies in force, windows, aggregates) persists between feeds.
+/// \brief Compile `roots` into one DAG with PushSource leaves for long-lived
+/// execution: the caller feeds admitted elements incrementally and operator
+/// state (policies in force, windows, aggregates) persists between feeds.
+/// A subtree reachable from several roots (the §VI.C shared trunk) compiles
+/// once and fans out to each root's remaining operators.
 Result<StreamingPhysicalPlan> BuildStreamingPhysicalPlan(
-    Pipeline* pipeline, const LogicalNodePtr& plan,
+    Pipeline* pipeline, const std::vector<LogicalNodePtr>& roots,
     const PhysicalPlanOptions& options = {});
 
 /// \brief §IV.A placement strategies for access-control filtering.

@@ -181,6 +181,14 @@ Status DurabilityManager::Recover() {
       recovered_.catalog.push_back(std::move(rec));
       continue;
     }
+    if (rec.type == WalRecordType::kEpochCommit) {
+      size_t off = 0;
+      SP_ASSIGN_OR_RETURN(uint64_t epoch, GetVarint(rec.payload, &off));
+      if (have_manifest_ && epoch == manifest_.meta.epoch) {
+        recovered_.catalog_committed = recovered_.catalog.size();
+      }
+      continue;
+    }
     if (rec.type == WalRecordType::kSessionUpsert) {
       SP_ASSIGN_OR_RETURN(DurableSession s, DecodeSession(rec.payload));
       max_session_id = std::max(max_session_id, s.id);
@@ -191,8 +199,8 @@ Status DurabilityManager::Recover() {
       max_session_id = std::max(max_session_id, id);
       sessions.erase(id);
     }
-    // kSpAdmitted / kAuditEvent / kEpochCommit / kRebaseReplica are
-    // forensic or structural; replay does not act on them.
+    // kSpAdmitted / kAuditEvent / kRebaseReplica are forensic or
+    // structural; replay does not act on them.
   }
   session_replica_ = sessions;
   for (auto& [id, s] : sessions) recovered_.sessions.push_back(s);

@@ -78,6 +78,9 @@ struct RecoveredState {
   int num_shards = 1;
   uint64_t batch_size = 64;
   std::vector<WalRecord> catalog;  ///< catalog mutations in WAL order
+  /// How many of `catalog` were logged before the last committed epoch's
+  /// commit record; the rest came after the delta chain was cut.
+  size_t catalog_committed = 0;
   std::vector<DurableSession> sessions;
   uint64_t next_session_id = 1;
   std::vector<StateEntry> blobs;   ///< delta-chain entries, oldest first

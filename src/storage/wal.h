@@ -37,7 +37,7 @@ enum class WalRecordType : uint8_t {
   kSessionUpsert = 8,   ///< payload: durable session record
   kSessionErase = 9,    ///< payload: varint session id
   kAuditEvent = 10,     ///< forensic: rendered audit event JSON
-  kEpochCommit = 11,    ///< forensic: varint epoch (manifest is the truth)
+  kEpochCommit = 11,    ///< varint epoch (the manifest is the truth)
   kRebaseReplica = 12,  ///< marker: first record of a compaction segment
 };
 

@@ -15,9 +15,11 @@ using sptest::MakeTuple;
 
 class AdaptiveEngineTest : public ::testing::Test {
  protected:
-  std::unique_ptr<SpStreamEngine> MakeEngine(bool adaptive) {
+  std::unique_ptr<SpStreamEngine> MakeEngine(bool adaptive,
+                                             bool share_plans = false) {
     EngineOptions opts;
     opts.adaptive = adaptive;
+    opts.share_plans = share_plans;
     // Queries start post-filtered and unoptimized: only the measured
     // statistics (via adaptation) can justify moving the shield.
     opts.optimize_plans = false;
@@ -132,6 +134,26 @@ TEST_F(AdaptiveEngineTest, AdaptiveAndStaticAgreeOnResults) {
     return rows;
   };
   EXPECT_EQ(canon(*adaptive->Results(*q_a)), canon(*stat->Results(*q_s)));
+}
+
+// A member of a shared group runs the group's shared plan, not its own
+// optimized one, so re-optimizing a member's plan leaves the group's DAG
+// (and its windows and policies) running.
+TEST_F(AdaptiveEngineTest, PlanSwapLeavesSharedGroupRunning) {
+  auto engine = MakeEngine(/*adaptive=*/true, /*share_plans=*/true);
+  ASSERT_TRUE(engine->RegisterSubject("vip", {"rare"}).ok());
+  ASSERT_TRUE(engine->RegisterSubject("vip2", {"rare"}).ok());
+  const std::string sql =
+      "SELECT A.v, B.v FROM A [RANGE 50], B [RANGE 50] WHERE A.k = B.k";
+  auto q = engine->RegisterQuery("vip", sql);
+  ASSERT_TRUE(q.ok() && engine->RegisterQuery("vip2", sql).ok());
+
+  PushEpoch(engine.get(), 1, 1);
+  ASSERT_TRUE(engine->Run().ok());
+  ASSERT_GE(engine->adaptations(), 1);
+  auto analyzed = engine->ExplainQuery(*q, /*analyze=*/true);
+  ASSERT_TRUE(analyzed.ok());
+  EXPECT_NE(analyzed->find("[actual:"), std::string::npos) << *analyzed;
 }
 
 TEST_F(AdaptiveEngineTest, NoAdaptationWithoutMeasurements) {

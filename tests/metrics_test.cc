@@ -147,19 +147,6 @@ TEST(MetricsRegistryTest, RetireFoldsLiveIntoLifetimeTotals) {
   EXPECT_EQ(q->totals.peak_state_bytes, 400);  // max across generations
 }
 
-TEST(MetricsRegistryTest, MergeOperatorAccumulates) {
-  // Per-epoch (ephemeral) pipelines fold in fresh metrics every run.
-  MetricsRegistry reg;
-  OperatorMetrics m;
-  m.tuples_in = 10;
-  reg.MergeOperator("q1", "split_ss", m);
-  reg.MergeOperator("q1", "split_ss", m);
-  auto snap = reg.Snapshot();
-  const QueryMetricsSnapshot* q = snap.FindQuery("q1");
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->totals.tuples_in, 20);
-}
-
 TEST(MetricsRegistryTest, EpochAndTupleLatency) {
   MetricsRegistry reg;
   reg.RecordEpochLatency("q0", 1000);

@@ -587,10 +587,10 @@ TEST_F(RecoveryTest, SoloQuarantineDoesNotPoisonSiblingEpochs) {
   EXPECT_GE(engine.audit()->CountOf(AuditEventKind::kQueryQuarantine), 1);
 }
 
-// ...and with share_plans ON the conservative engine-wide discard remains:
-// shared-trunk output staged for sibling queries may depend on the faulted
-// query's group, so the whole epoch's durable commit aborts.
-TEST_F(RecoveryTest, SharedPlansQuarantineStillDiscardsEngineWide) {
+// ...and with share_plans ON a quarantine is scoped to the faulted query
+// GROUP: both members of the shared group are fenced together and lose the
+// epoch's output, while a solo query in the same epoch commits and delivers.
+TEST_F(RecoveryTest, SharedGroupQuarantineIsGroupScoped) {
   TempDataDir dir("shared_poison");
   EngineOptions opts;
   opts.data_dir = dir.path();
@@ -603,11 +603,12 @@ TEST_F(RecoveryTest, SharedPlansQuarantineStillDiscardsEngineWide) {
                       "A", {Field{"k", ValueType::kInt64}}))
                   .ok());
   ASSERT_TRUE(engine.RegisterSubject("alice", {"R0"}).ok());
-  // Different bare plans → each runs solo even in share mode, but the
-  // share_plans flag keeps the engine-wide poison semantics.
+  ASSERT_TRUE(engine.RegisterSubject("bob", {"R0"}).ok());
+  // q0 + q1 share one plan (group led by q0, which runs first); q2 is solo.
   auto q0 = engine.RegisterQuery("alice", "SELECT k FROM A");
-  auto q1 = engine.RegisterQuery("alice", "SELECT k FROM A WHERE k > 1");
-  ASSERT_TRUE(q0.ok() && q1.ok());
+  auto q1 = engine.RegisterQuery("bob", "SELECT k FROM A");
+  auto q2 = engine.RegisterQuery("alice", "SELECT k FROM A WHERE k > 1");
+  ASSERT_TRUE(q0.ok() && q1.ok() && q2.ok());
 
   ASSERT_TRUE(engine.Push("A", Segment(1, 0, 8)).ok());
   ASSERT_TRUE(engine.Run().ok());
@@ -620,17 +621,224 @@ TEST_F(RecoveryTest, SharedPlansQuarantineStillDiscardsEngineWide) {
     ASSERT_TRUE(engine.Push("A", Segment(100, 100, 8)).ok());
     ASSERT_TRUE(engine.Run().ok());
   }
-  // Share-mode groups execute in hash order, so either query may have
-  // caught the fault — but exactly one did.
-  const bool quarantined0 = *engine.IsQuarantined(*q0);
-  const bool quarantined1 = *engine.IsQuarantined(*q1);
-  EXPECT_NE(quarantined0, quarantined1);
-  // Engine-wide discard: the epoch did NOT commit, and the HEALTHY query's
-  // epoch-2 share was withheld too (at-most-once: it re-delivers after
-  // recovery).
-  EXPECT_EQ(engine.durable_epochs(), 1);
-  EXPECT_EQ(engine.Results(quarantined0 ? *q1 : *q0)->size(),
-            quarantined0 ? 6u : 8u);
+  EXPECT_TRUE(*engine.IsQuarantined(*q0));
+  EXPECT_TRUE(*engine.IsQuarantined(*q1));
+  EXPECT_FALSE(*engine.IsQuarantined(*q2));
+  EXPECT_EQ(engine.quarantined_count(), 2);
+  // The epoch committed; the group's share of it was discarded, the solo
+  // query's delivered.
+  EXPECT_EQ(engine.durable_epochs(), 2);
+  EXPECT_EQ(engine.Results(*q0)->size(), 8u);
+  EXPECT_EQ(engine.Results(*q1)->size(), 8u);
+  EXPECT_EQ(engine.Results(*q2)->size(), 12u);  // 6 + 6
+  EXPECT_EQ(engine.audit()->CountOf(AuditEventKind::kQueryQuarantine), 2);
+}
+
+// Window-state fixtures for the shared-group cases: a share_plans engine
+// with roles R0/R1, stream A(k) and subjects alice {R0} and bob {R0, R1},
+// both running the same DISTINCT-over-RANGE query.
+constexpr const char* kDistinctSql = "SELECT DISTINCT k FROM A [RANGE 40]";
+
+std::unique_ptr<SpStreamEngine> SharingEngine(const std::string& data_dir) {
+  EngineOptions opts;
+  opts.data_dir = data_dir;
+  opts.share_plans = true;
+  auto engine = std::make_unique<SpStreamEngine>(std::move(opts));
+  EXPECT_TRUE(engine->recovery_error().ok())
+      << engine->recovery_error().ToString();
+  engine->RegisterRole("R0");
+  engine->RegisterRole("R1");
+  EXPECT_TRUE(engine
+                  ->RegisterStream(MakeSchema(
+                      "A", {Field{"k", ValueType::kInt64}}))
+                  .ok());
+  EXPECT_TRUE(engine->RegisterSubject("alice", {"R0"}).ok());
+  EXPECT_TRUE(engine->RegisterSubject("bob", {"R0", "R1"}).ok());
+  return engine;
+}
+
+void RegisterDistinct(SpStreamEngine* engine, const char* who,
+                      std::vector<QueryId>* qids) {
+  auto q = engine->RegisterQuery(who, kDistinctSql);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (q.ok()) qids->push_back(*q);
+}
+
+// Each epoch opens with a fresh sp (so a recovered fail-closed posture is
+// superseded), then keys repeat across epochs inside the window: losing the
+// window would re-emit keys DISTINCT already delivered.
+std::vector<StreamElement> DistinctEpoch(size_t e) {
+  const Timestamp ts = 1 + static_cast<Timestamp>(e) * 10;
+  std::vector<StreamElement> elems;
+  elems.emplace_back(sptest::MakeSp("A", {0}, ts));
+  for (int64_t i = 0; i < 6; ++i) {
+    elems.emplace_back(sptest::MakeTuple(
+        static_cast<TupleId>(e * 6 + static_cast<size_t>(i)),
+        {(static_cast<int64_t>(e) + i) % 5}, ts + 1 + i));
+  }
+  return elems;
+}
+
+std::vector<std::vector<std::string>> Delivered(
+    SpStreamEngine* engine, const std::vector<QueryId>& qids) {
+  std::vector<std::vector<std::string>> out;
+  for (QueryId id : qids) {
+    auto results = engine->Results(id);
+    std::vector<std::string> rows;
+    for (const Tuple& t : *results) rows.push_back(t.ToString());
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+// A shared group with window state (DISTINCT over RANGE) checkpoints like
+// any other query: a crash-and-recover run delivers exactly what an
+// uncrashed run delivers, and RecoverQuery on one member brings the whole
+// group back from its checkpoint.
+TEST_F(RecoveryTest, SharedGroupWindowStateSurvivesCrashAndQuarantine) {
+  auto build = [](const std::string& data_dir, std::vector<QueryId>* qids) {
+    auto engine = SharingEngine(data_dir);
+    for (const char* who : {"alice", "bob"}) {
+      RegisterDistinct(engine.get(), who, qids);
+    }
+    return engine;
+  };
+  constexpr size_t kEpochs = 5;
+
+  // Uncrashed reference.
+  std::vector<QueryId> ref_q;
+  auto ref = build("", &ref_q);
+  for (size_t e = 0; e < kEpochs; ++e) {
+    ASSERT_TRUE(ref->Push("A", DistinctEpoch(e)).ok());
+    ASSERT_TRUE(ref->Run().ok());
+  }
+  const auto expect = Delivered(ref.get(), ref_q);
+  ASSERT_FALSE(expect[0].empty());
+
+  // Crash after epoch 2 commits, recover, finish.
+  TempDataDir dir("shared_window");
+  std::vector<QueryId> qids;
+  auto a = build(dir.path(), &qids);
+  for (size_t e = 0; e < 2; ++e) {
+    ASSERT_TRUE(a->Push("A", DistinctEpoch(e)).ok());
+    ASSERT_TRUE(a->Run().ok());
+  }
+  auto combined = Delivered(a.get(), qids);
+  a.reset();
+  EngineOptions bopts;
+  bopts.data_dir = dir.path();
+  bopts.share_plans = true;
+  SpStreamEngine b(std::move(bopts));
+  ASSERT_TRUE(b.recovery_error().ok()) << b.recovery_error().ToString();
+  ASSERT_EQ(b.durable_epochs(), 2);
+  for (size_t e = 2; e < kEpochs; ++e) {
+    ASSERT_TRUE(b.Push("A", DistinctEpoch(e)).ok());
+    ASSERT_TRUE(b.Run().ok());
+  }
+  auto resumed = Delivered(&b, qids);
+  for (size_t i = 0; i < qids.size(); ++i) {
+    combined[i].insert(combined[i].end(), resumed[i].begin(),
+                       resumed[i].end());
+    EXPECT_EQ(combined[i], expect[i]) << "query " << i;
+  }
+
+  // In-process: a fault in epoch 2 fences the group; recovering the
+  // NON-leader member restores the whole group from the epoch-1
+  // checkpoint. The result equals a run that never saw epoch 2.
+  std::vector<QueryId> skip_q;
+  auto skip = build("", &skip_q);
+  for (size_t e : {0, 1, 3, 4}) {
+    ASSERT_TRUE(skip->Push("A", DistinctEpoch(e)).ok());
+    ASSERT_TRUE(skip->Run().ok());
+  }
+  TempDataDir dir2("shared_window_heal");
+  std::vector<QueryId> heal_q;
+  auto heal = build(dir2.path(), &heal_q);
+  for (size_t e = 0; e < kEpochs; ++e) {
+    if (e == 2) {
+      FaultSpec spec;
+      spec.trigger_on_hit = 1;
+      ScopedFault armed(fault::kOperatorProcess, spec);
+      ASSERT_TRUE(heal->Push("A", DistinctEpoch(e)).ok());
+      ASSERT_TRUE(heal->Run().ok());
+      ASSERT_TRUE(*heal->IsQuarantined(heal_q[0]));
+      ASSERT_TRUE(*heal->IsQuarantined(heal_q[1]));
+      ASSERT_TRUE(heal->RecoverQuery(heal_q[1]).ok());
+      EXPECT_FALSE(*heal->IsQuarantined(heal_q[0]));
+      EXPECT_FALSE(*heal->IsQuarantined(heal_q[1]));
+      continue;
+    }
+    ASSERT_TRUE(heal->Push("A", DistinctEpoch(e)).ok());
+    ASSERT_TRUE(heal->Run().ok());
+  }
+  EXPECT_EQ(Delivered(heal.get(), heal_q), Delivered(skip.get(), skip_q));
+}
+
+// A query joining or leaving a shared group mid-stream reshapes the group's
+// DAG and resets its state. Checkpoint entries cut from the old DAG must
+// never reach the new one: a crash right after the reshape, or one commit
+// later, recovers to exactly what the uncrashed run delivers.
+TEST_F(RecoveryTest, GroupReshapeBeforeCrashRecoversLikeUncrashedRun) {
+  constexpr size_t kEpochs = 5;
+  constexpr size_t kReshapeAt = 2;  // the reshape lands before this epoch
+  for (bool join : {true, false}) {
+    SCOPED_TRACE(join ? "bob joins alice's group" : "bob leaves the group");
+    auto start = [&](const std::string& data_dir, std::vector<QueryId>* qids) {
+      auto engine = SharingEngine(data_dir);
+      RegisterDistinct(engine.get(), "alice", qids);
+      if (!join) RegisterDistinct(engine.get(), "bob", qids);
+      return engine;
+    };
+    auto reshape = [&](SpStreamEngine* engine, std::vector<QueryId>* qids) {
+      if (join) {
+        RegisterDistinct(engine, "bob", qids);
+      } else {
+        EXPECT_TRUE(engine->DeregisterQuery((*qids)[1]).ok());
+      }
+    };
+    // Epochs [from, to); the reshape runs before epoch kReshapeAt, or at
+    // the end when the run stops right there.
+    auto run = [&](SpStreamEngine* engine, std::vector<QueryId>* qids,
+                   size_t from, size_t to, bool with_reshape) {
+      for (size_t e = from; e < to; ++e) {
+        if (with_reshape && e == kReshapeAt) reshape(engine, qids);
+        EXPECT_TRUE(engine->Push("A", DistinctEpoch(e)).ok());
+        EXPECT_TRUE(engine->Run().ok());
+      }
+      if (with_reshape && to == kReshapeAt) reshape(engine, qids);
+    };
+
+    std::vector<QueryId> ref_q;
+    auto ref = start("", &ref_q);
+    run(ref.get(), &ref_q, 0, kEpochs, /*with_reshape=*/true);
+    const auto expect = Delivered(ref.get(), ref_q);
+    ASSERT_FALSE(expect[1].empty());
+
+    for (size_t crash_after : {kReshapeAt, kReshapeAt + 1}) {
+      SCOPED_TRACE("crash after epoch " + std::to_string(crash_after));
+      TempDataDir dir("group_reshape_" + std::to_string(join) + "_" +
+                      std::to_string(crash_after));
+      std::vector<QueryId> qids;
+      auto a = start(dir.path(), &qids);
+      run(a.get(), &qids, 0, crash_after, /*with_reshape=*/true);
+      auto combined = Delivered(a.get(), qids);
+      a.reset();
+
+      EngineOptions bopts;
+      bopts.data_dir = dir.path();
+      bopts.share_plans = true;
+      SpStreamEngine b(std::move(bopts));
+      ASSERT_TRUE(b.recovery_error().ok()) << b.recovery_error().ToString();
+      ASSERT_EQ(b.durable_epochs(), static_cast<int64_t>(crash_after));
+      run(&b, &qids, crash_after, kEpochs, /*with_reshape=*/false);
+      const auto resumed = Delivered(&b, qids);
+      for (size_t i = 0; i < qids.size(); ++i) {
+        combined[i].insert(combined[i].end(), resumed[i].begin(),
+                           resumed[i].end());
+        EXPECT_EQ(combined[i], expect[i]) << "query " << i;
+      }
+    }
+  }
 }
 
 // The quarantined-queries gauge tracks live quarantines: deregistering a
