@@ -2,11 +2,11 @@
 // end-to-end tuples/sec of the single-shard engine at batch sizes
 // 1/8/64/256/1024 over the same punctuated windowed join as
 // bench_shard_scaling (SELECT A.v FROM A [RANGE w], B [RANGE w] WHERE
-// A.k = B.k). batch_size=1 is the legacy per-element hand-off; larger
-// batches amortize virtual dispatch, timer reads and state-gauge refreshes
-// across a whole run of tuples, and let the SS operator reuse one
-// policy-match decision per sp-delimited run. Output is sequence-identical
-// at every size (tests/batch_equivalence_test.cc). Emits a machine-readable
+// A.k = B.k). batch_size=1 hands each element over in a one-row batch;
+// larger batches amortize per-batch dispatch, timer reads and trace checks
+// across a whole run of tuples and ship columnar, so the SS, select and
+// project kernels run on the columns. Output is sequence-identical at
+// every size (tests/batch_equivalence_test.cc). Emits a machine-readable
 // summary to stdout, BENCH_batch_size.json in the working directory, and
 // SPSTREAM_BENCH_JSON_DIR when set.
 #include <cstdlib>

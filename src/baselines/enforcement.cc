@@ -53,8 +53,7 @@ class StoreProbeFilter : public Operator {
         query_roles_(std::move(query_roles)) {}
 
  protected:
-  void Process(StreamElement elem, int) override {
-    ScopedTimer timer(&metrics_.total_nanos);
+  void Process(StreamElement&& elem, int) override {
     if (elem.is_sp()) {
       ++metrics_.sps_in;
       (void)store_->Apply(std::move(elem.sp()));  // central-table update
@@ -156,8 +155,7 @@ class EmbeddedPolicyFilter : public Operator {
         policy_col_(policy_col) {}
 
  protected:
-  void Process(StreamElement elem, int) override {
-    ScopedTimer timer(&metrics_.total_nanos);
+  void Process(StreamElement&& elem, int) override {
     if (!elem.is_tuple()) {
       Emit(std::move(elem));
       return;

@@ -939,7 +939,7 @@ std::string SpStreamEngine::FeedInline(QueryGroup* g,
       // batch (nothing from it is fed — the epoch quarantines anyway).
       ElementBatch batch;
       // Feed columnar above batch size 1 so the kernels engage from the
-      // source on; size 1 keeps the legacy row transport (a one-row
+      // source on; size 1 keeps the row transport (a one-row
       // columnar batch costs more than the element it carries).
       if (batch_size > 1) batch.BeginColumnar();
       const size_t end = std::min(pending.size(), i + batch_size);

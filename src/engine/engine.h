@@ -84,9 +84,9 @@ struct EngineOptions {
   /// Micro-batch size for pushing elements through the operator DAG. Sources
   /// and the shard hand-off accumulate up to this many elements (tuples and
   /// sps interleaved in arrival order) per PushBatch call, amortizing
-  /// virtual-dispatch and timer overhead. Output is byte-identical in
-  /// sequence to per-element execution at any size
-  /// (tests/batch_equivalence_test). 1 == legacy per-element behavior.
+  /// per-batch dispatch and timer overhead. Batches above 1 ship columnar.
+  /// The result sequence is identical at every size
+  /// (tests/batch_equivalence_test); 1 means one row batch per element.
   size_t batch_size = 64;
   /// End-to-end tracing (docs/OBSERVABILITY.md): 0 = off (the default; no
   /// span ring is ever allocated), N = switch the process-wide Tracer on and

@@ -60,9 +60,9 @@ void ShardManager::WorkerLoop(Shard* shard) {
       // feeding a prefix would leave this clone's policy/window state
       // diverged mid-run, so nothing from a faulted batch reaches the
       // pipeline (fail closed; the engine quarantines the epoch).
-      int64_t batch_tuples = 0, batch_sps = 0;
-      Timestamp traced_sp_ts = -1;
-      for (const StreamElement& e : task.batch.elements()) {
+      // None of this decays a columnar batch to rows: the pipeline's
+      // columnar kernels get the batch as routed.
+      for (size_t i = 0; i < task.batch.size(); ++i) {
         if (SP_FAULT_FIRED(fault::kOperatorProcess)) {
           poisoned = true;
           RecordFault(shard->index, fault::kOperatorProcess,
@@ -70,18 +70,23 @@ void ShardManager::WorkerLoop(Shard* shard) {
                       "epoch");
           break;
         }
-        if (e.is_tuple()) {
-          ++batch_tuples;
-        } else if (e.is_sp()) {
-          ++batch_sps;
-          if (traced_sp_ts < 0 && Tracer::Global().SampleSpBatch(e.ts())) {
-            traced_sp_ts = e.ts();
-          }
-        }
       }
       if (poisoned) continue;  // nothing from a faulted batch is fed
-      tuples += batch_tuples;
-      sps += batch_sps;
+      task.batch.CountLive(&tuples, &sps);
+      Timestamp traced_sp_ts = -1;
+      auto sample = [&](const StreamElement& e) {
+        if (traced_sp_ts < 0 && e.is_sp() &&
+            Tracer::Global().SampleSpBatch(e.ts())) {
+          traced_sp_ts = e.ts();
+        }
+      };
+      if (task.batch.is_columnar()) {
+        for (const ElementBatch::Special& s : task.batch.specials()) {
+          sample(s.elem);
+        }
+      } else {
+        for (const StreamElement& e : task.batch.elements()) sample(e);
+      }
       // Worker-side trace context: a batch carrying a sampled sp is part of
       // that sp-batch's lifecycle (its PushBatch/SS spans join the batch
       // trace, which is how "which shard converged last" becomes visible);
@@ -146,13 +151,6 @@ void ShardManager::FlushBuffer(Shard* shard) {
     return;
   }
   shard->route_buffer.clear();
-}
-
-void ShardManager::Route(size_t shard_idx, PushSource* src,
-                         StreamElement elem) {
-  ElementBatch batch;
-  batch.push_back(std::move(elem));
-  RouteBatch(shard_idx, src, std::move(batch));
 }
 
 void ShardManager::RouteBatch(size_t shard_idx, PushSource* src,

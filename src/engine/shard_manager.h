@@ -79,12 +79,6 @@ class ShardManager {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// \brief Enqueue one element for `shard`, to be fed into `src` by that
-  /// shard's worker. Elements are buffered and handed off in batches;
-  /// ordering per shard is the routing order. Call only from the engine's
-  /// Run() thread. Convenience wrapper over RouteBatch for a batch of one.
-  void Route(size_t shard, PushSource* src, StreamElement elem);
-
   /// \brief Enqueue a micro-batch for `shard`, fed whole into `src` by that
   /// shard's worker (one FeedBatch call). Per-shard ordering is the routing
   /// order of the batches. Call only from the engine's Run() thread.

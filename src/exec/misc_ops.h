@@ -16,7 +16,7 @@ class UnionOp : public Operator {
       : Operator(ctx, std::move(label), num_inputs) {}
 
  protected:
-  void Process(StreamElement elem, int) override {
+  void Process(StreamElement&& elem, int) override {
     if (elem.is_tuple()) {
       ++metrics_.tuples_in;
       EmitTuple(std::move(elem.tuple()));
@@ -41,7 +41,7 @@ class DropSpsOp : public Operator {
       : Operator(ctx, std::move(label)) {}
 
  protected:
-  void Process(StreamElement elem, int) override {
+  void Process(StreamElement&& elem, int) override {
     if (elem.is_sp()) {
       ++metrics_.sps_in;
       return;  // swallowed

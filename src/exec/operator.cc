@@ -1,44 +1,12 @@
 #include "exec/operator.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/metrics_registry.h"
 #include "common/trace.h"
 
 namespace spstream {
-
-void Operator::Push(StreamElement elem, int port) {
-  if (elem.is_end_of_stream()) {
-    OnPortFinished(port);
-    if (++finished_ports_ >= (num_inputs_ == 0 ? 1 : num_inputs_)) {
-      OnAllFinished();
-      Emit(std::move(elem));  // propagate EOS exactly once
-    }
-    return;
-  }
-  Process(std::move(elem), port);
-}
-
-void Operator::Emit(StreamElement elem) {
-  if (collect_ != nullptr) {
-    // Batch mode: buffer the element; PushBatch forwards everything
-    // collected as one output batch when the input batch completes.
-    collect_->push_back(std::move(elem));
-    return;
-  }
-  if (outputs_.empty()) return;
-  // Copy for all but the last edge; move into the last.
-  for (size_t i = 0; i + 1 < outputs_.size(); ++i) {
-    outputs_[i].op->Push(elem, outputs_[i].port);
-  }
-  outputs_.back().op->Push(std::move(elem), outputs_.back().port);
-}
-
-void Operator::ProcessBatch(ElementBatch& batch, int port) {
-  for (StreamElement& e : batch.elements()) {
-    Process(std::move(e), port);
-  }
-}
 
 namespace {
 /// Restores an operator's collect pointer even if Process throws (the
@@ -56,8 +24,9 @@ struct CollectScope {
 
 void Operator::PushBatch(ElementBatch batch, int port) {
   if (batch.empty()) return;
+  const int64_t in_size = static_cast<int64_t>(batch.size());
   ++metrics_.batches_in;
-  metrics_.batch_elements_in += static_cast<int64_t>(batch.size());
+  metrics_.batch_elements_in += in_size;
   // Per-operator span (when the current batch's trace is sampled): arg1 =
   // batch size, arg2 = tuples passed downstream, arg3 = tuples dropped
   // (security + predicate) while this batch was processed.
@@ -67,29 +36,30 @@ void Operator::PushBatch(ElementBatch batch, int port) {
       traced ? metrics_.tuples_dropped_security + metrics_.tuples_dropped_predicate
              : 0;
   TraceSpan span(TraceCat::kOperator, label_.c_str(),
-                 traced ? Tracer::CurrentTrace() : 0,
-                 static_cast<int64_t>(batch.size()));
+                 traced ? Tracer::CurrentTrace() : 0, in_size);
   ElementBatch out;
-  if (!batch.has_eos() && batch.is_columnar() &&
-      ProcessColumnar(batch, &out, port)) {
-    // Columnar kernel: `out` was built directly (no collect-mode
-    // per-element re-wrap) and forwards below like any collected batch.
-  } else {
-    CollectScope scope(&collect_, &out);
-    if (batch.has_eos()) {
-      // Rare, terminal: route through Push so the finished-port accounting
-      // stays in one place. Emissions still collect, so downstream keeps
-      // receiving batches.
+  {
+    ScopedTimer timer(&metrics_.total_nanos);
+    if (batch.has_eos() || !batch.is_columnar() ||
+        !ProcessColumnar(batch, &out, port)) {
+      // Row path. Emissions collect into `out`; EOS (rare, terminal) is
+      // handled in place so it keeps its position in the sequence.
+      CollectScope scope(&collect_, &out);
       for (StreamElement& e : batch.elements()) {
-        Push(std::move(e), port);
+        if (!e.is_end_of_stream()) {
+          Process(std::move(e), port);
+          continue;
+        }
+        OnPortFinished(port);
+        if (++finished_ports_ >= std::max(num_inputs_, 1)) {
+          OnAllFinished();
+          Emit(std::move(e));  // propagate EOS exactly once
+        }
       }
-    } else {
-      ProcessBatch(batch, port);
     }
   }
   if (traced) {
-    span.set_args(static_cast<int64_t>(batch.size()),
-                  metrics_.tuples_out - out_before,
+    span.set_args(in_size, metrics_.tuples_out - out_before,
                   metrics_.tuples_dropped_security +
                       metrics_.tuples_dropped_predicate - drop_before);
   }
@@ -97,14 +67,7 @@ void Operator::PushBatch(ElementBatch batch, int port) {
 }
 
 void Operator::ForwardBatch(ElementBatch batch) {
-  if (batch.empty()) return;
-  if (collect_ != nullptr) {
-    for (StreamElement& e : batch.elements()) {
-      collect_->push_back(std::move(e));
-    }
-    return;
-  }
-  if (outputs_.empty()) return;
+  if (batch.empty() || outputs_.empty()) return;
   // Copy for all but the last fan-out edge; move into the last.
   for (size_t i = 0; i + 1 < outputs_.size(); ++i) {
     outputs_[i].op->PushBatch(batch, outputs_[i].port);
@@ -138,8 +101,8 @@ size_t SourceOperator::Poll(size_t max_elements) {
     eos_sent_ = true;
     const Timestamp ts =
         elements_.empty() ? 0 : kMaxTimestamp;
-    // EOS rides at the batch tail; PushBatch routes it through Push so the
-    // finished-port accounting fires downstream.
+    // EOS rides at the batch tail; downstream PushBatch does the
+    // finished-port accounting.
     batch.push_back(StreamElement::EndOfStream(ts));
   }
   if (!batch.empty()) ForwardBatch(std::move(batch));

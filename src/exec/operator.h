@@ -1,9 +1,10 @@
 // Push-based pipelined operator framework (the CAPE-substitute execution
-// model of §IV): operators form a DAG, elements are pushed downstream as
-// soon as they are produced, and every operator tracks its own cost/memory
-// metrics for the benchmark harness.
+// model of §IV): operators form a DAG, elements are pushed downstream in
+// micro-batches (ElementBatch) as soon as they are produced, and every
+// operator tracks its own cost/memory metrics for the benchmark harness.
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,16 +36,15 @@ class Operator {
     outputs_.push_back(Edge{downstream, downstream_port});
   }
 
-  /// \brief Push one element into input `port`. End-of-stream controls are
-  /// routed to OnPortFinished and propagate downstream once *all* ports have
-  /// finished.
-  void Push(StreamElement elem, int port = 0);
-
-  /// \brief Push a micro-batch into input `port`. Everything the operator
-  /// emits while processing the batch is collected and forwarded downstream
-  /// as one batch, so batching survives the whole DAG without any operator
-  /// opting in. Per-edge output order is identical to pushing the elements
-  /// one by one (the batch-equivalence contract).
+  /// \brief Push a micro-batch into input `port` — the only way an element
+  /// crosses an operator edge. PushBatch times the operator (total_nanos is
+  /// its own processing time, downstream excluded), tries ProcessColumnar on
+  /// a columnar batch, otherwise runs Process per element, and handles
+  /// end-of-stream inline: OnPortFinished, then once *all* ports have
+  /// finished OnAllFinished and EOS propagates. Everything emitted is
+  /// collected and forwarded as one batch per output edge; per-edge output
+  /// order is identical at every batch size (the batch-equivalence
+  /// contract).
   void PushBatch(ElementBatch batch, int port = 0);
 
   const std::string& label() const { return label_; }
@@ -100,23 +100,18 @@ class Operator {
   virtual void OnRestoreComplete() {}
 
  protected:
-  /// \brief Operator-specific processing of a non-EOS element.
-  virtual void Process(StreamElement elem, int port) = 0;
+  /// \brief Operator-specific processing of a non-EOS element: the row path
+  /// and the semantic reference every columnar kernel must match. Consumes
+  /// `elem` (taken by rvalue reference so the row loop moves nothing).
+  virtual void Process(StreamElement&& elem, int port) = 0;
 
-  /// \brief Operator-specific processing of a batch with no EOS element.
-  /// The default loops Process, so every operator is batch-transparent;
-  /// hot operators override it with a kernel that dispatches once per
-  /// batch (one timer, no per-element virtual call) — and must produce the
-  /// exact output sequence the per-element loop would.
-  virtual void ProcessBatch(ElementBatch& batch, int port);
-
-  /// \brief Columnar kernel hook, tried by PushBatch for columnar non-EOS
-  /// batches before the collect-mode row path. An override either returns
-  /// false WITHOUT side effects (PushBatch falls back to ProcessBatch,
-  /// which decays the batch to rows) or fully consumes `batch`, builds the
-  /// complete output batch in `*out` — columnar where possible, so results
-  /// are never re-wrapped element by element — and returns true. Output
-  /// must be sequence-identical to the per-element path.
+  /// \brief Optional columnar kernel, tried by PushBatch for columnar
+  /// batches without EOS. An override either returns false WITHOUT side
+  /// effects (PushBatch falls back to Process, which decays the batch to
+  /// rows) or fully consumes `batch`, builds the complete output batch in
+  /// `*out` — columnar where possible, so results are never re-wrapped
+  /// element by element — and returns true. Output must be
+  /// sequence-identical to the Process path.
   virtual bool ProcessColumnar(ElementBatch& batch, ElementBatch* out,
                                int port) {
     (void)batch;
@@ -132,13 +127,16 @@ class Operator {
   /// propagates. Stateful operators flush pending results here.
   virtual void OnAllFinished() {}
 
-  /// \brief Send an element to all downstream operators. While a batch is
-  /// being processed this appends to the collect buffer instead (forwarded
-  /// as one batch when the input batch completes).
-  void Emit(StreamElement elem);
+  /// \brief Append an element to the output of the batch being processed
+  /// (forwarded downstream as one batch when the input batch completes).
+  /// Only valid inside the hooks PushBatch calls.
+  void Emit(StreamElement elem) {
+    assert(collect_ != nullptr);
+    collect_->push_back(std::move(elem));
+  }
 
   /// \brief Send a batch to all downstream operators (copy for the first
-  /// N-1 fan-out edges, move into the last — the batch analogue of Emit).
+  /// N-1 fan-out edges, move into the last).
   void ForwardBatch(ElementBatch batch);
   void EmitTuple(Tuple t) {
     ++metrics_.tuples_out;
@@ -163,8 +161,8 @@ class Operator {
   int num_inputs_;
   int finished_ports_ = 0;
   std::vector<Edge> outputs_;
-  // Non-null while PushBatch runs: Emit appends here instead of pushing
-  // downstream, so one input batch becomes one output batch per edge.
+  // Non-null while PushBatch runs: Emit appends here, so one input batch
+  // becomes one output batch per edge.
   ElementBatch* collect_ = nullptr;
 };
 
@@ -185,7 +183,7 @@ class SourceOperator : public Operator {
   bool exhausted() const { return eos_sent_; }
 
  protected:
-  void Process(StreamElement, int) override {}  // sources take no input
+  void Process(StreamElement&&, int) override {}  // sources take no input
 
  private:
   std::vector<StreamElement> elements_;
@@ -194,29 +192,15 @@ class SourceOperator : public Operator {
 };
 
 /// \brief Externally-fed source for long-lived (continuous) pipelines: the
-/// owner pushes elements as they are admitted instead of pre-materializing
-/// the stream. Never emits EOS on its own — call Finish() to end the
-/// stream explicitly.
+/// owner pushes batches as they are admitted instead of pre-materializing
+/// the stream. Never emits EOS on its own.
 class PushSource : public Operator {
  public:
   explicit PushSource(ExecContext* ctx, std::string label = "push_src")
       : Operator(ctx, std::move(label), /*num_inputs=*/0) {}
 
-  /// \brief Inject one element; it flows through the whole DAG before this
-  /// returns (synchronous pipelined execution).
-  void Feed(StreamElement elem) {
-    if (elem.is_tuple()) {
-      ++metrics_.tuples_in;
-      ++metrics_.tuples_out;
-    } else if (elem.is_sp()) {
-      ++metrics_.sps_in;
-      ++metrics_.sps_out;
-    }
-    Emit(std::move(elem));
-  }
-
   /// \brief Inject a micro-batch; it flows through the whole DAG as a batch
-  /// before this returns. Order-equivalent to Feed()ing each element.
+  /// before this returns (synchronous pipelined execution).
   void FeedBatch(ElementBatch batch) {
     if (batch.empty()) return;
     ++metrics_.batches_in;
@@ -231,22 +215,8 @@ class PushSource : public Operator {
     ForwardBatch(std::move(batch));
   }
 
-  /// \brief Terminate the stream (propagates EOS; stateful downstream
-  /// operators flush).
-  void Finish() {
-    if (!finished_) {
-      finished_ = true;
-      Emit(StreamElement::EndOfStream(kMaxTimestamp));
-    }
-  }
-
-  bool finished() const { return finished_; }
-
  protected:
-  void Process(StreamElement, int) override {}
-
- private:
-  bool finished_ = false;
+  void Process(StreamElement&&, int) override {}
 };
 
 /// \brief Terminal operator collecting results for inspection. Results
@@ -297,28 +267,13 @@ class CollectorSink : public Operator {
   }
 
  protected:
-  void Process(StreamElement elem, int) override {
+  void Process(StreamElement&& elem, int) override {
     if (elem.is_tuple()) {
       ++metrics_.tuples_in;
     } else if (elem.is_sp()) {
       ++metrics_.sps_in;
     }
     TailRowChunk().push_back(std::move(elem));
-    flat_valid_ = false;
-  }
-
-  void ProcessBatch(ElementBatch& batch, int) override {
-    // No reserve: an exact-fit reserve per batch would defeat push_back's
-    // geometric growth (quadratic re-copying at small batch sizes).
-    ElementBatch& tail = TailRowChunk();
-    for (StreamElement& e : batch.elements()) {
-      if (e.is_tuple()) {
-        ++metrics_.tuples_in;
-      } else if (e.is_sp()) {
-        ++metrics_.sps_in;
-      }
-      tail.push_back(std::move(e));
-    }
     flat_valid_ = false;
   }
 

@@ -2,7 +2,7 @@
 
 namespace spstream {
 
-void ReorderOp::Process(StreamElement elem, int) {
+void ReorderOp::Process(StreamElement&& elem, int) {
   if (elem.is_control()) {
     Emit(std::move(elem));
     return;

@@ -29,7 +29,7 @@ class ReorderOp : public Operator {
   int64_t late_drops() const { return late_drops_; }
 
  protected:
-  void Process(StreamElement elem, int) override;
+  void Process(StreamElement&& elem, int) override;
   void OnAllFinished() override;
 
  private:

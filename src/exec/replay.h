@@ -59,7 +59,7 @@ class LatencySink : public Operator {
   LatencySummary Summarize() const;
 
  protected:
-  void Process(StreamElement elem, int) override {
+  void Process(StreamElement&& elem, int) override {
     if (elem.is_tuple()) {
       ++metrics_.tuples_in;
       latencies_.push_back(NowNanos() - arrival_nanos_);

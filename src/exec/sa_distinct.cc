@@ -39,8 +39,7 @@ void SaDistinct::UpdateStateBytes() {
   metrics_.NoteStateBytes(static_cast<int64_t>(bytes));
 }
 
-void SaDistinct::Process(StreamElement elem, int) {
-  ScopedTimer total(&metrics_.total_nanos);
+void SaDistinct::Process(StreamElement&& elem, int) {
   if (elem.is_sp()) {
     ++metrics_.sps_in;
     ScopedTimer t(&metrics_.sp_maintenance_nanos);

@@ -48,7 +48,7 @@ class SaDistinct : public Operator {
   void OnRestoreComplete() override { UpdateStateBytes(); }
 
  protected:
-  void Process(StreamElement elem, int) override;
+  void Process(StreamElement&& elem, int) override;
 
  private:
   struct ValueHash {

@@ -144,8 +144,7 @@ void SaGroupBy::Invalidate(Timestamp now) {
   }
 }
 
-void SaGroupBy::Process(StreamElement elem, int) {
-  ScopedTimer total(&metrics_.total_nanos);
+void SaGroupBy::Process(StreamElement&& elem, int) {
   if (elem.is_sp()) {
     ++metrics_.sps_in;
     ScopedTimer t(&metrics_.sp_maintenance_nanos);

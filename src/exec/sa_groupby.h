@@ -61,7 +61,7 @@ class SaGroupBy : public Operator {
   void OnRestoreComplete() override;
 
  protected:
-  void Process(StreamElement elem, int) override;
+  void Process(StreamElement&& elem, int) override;
   void OnAllFinished() override;
 
  private:

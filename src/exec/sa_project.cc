@@ -33,20 +33,7 @@ bool SaProject::SpIrrelevantAfterProjection(
   return true;  // covered only projected-away attributes
 }
 
-void SaProject::Process(StreamElement elem, int) {
-  ScopedTimer timer(&metrics_.total_nanos);
-  ProcessElement(elem);
-}
-
-void SaProject::ProcessBatch(ElementBatch& batch, int) {
-  ScopedTimer timer(&metrics_.total_nanos);
-  for (StreamElement& e : batch.elements()) {
-    ProcessElement(e);
-  }
-}
-
 bool SaProject::ProcessColumnar(ElementBatch& batch, ElementBatch* out, int) {
-  ScopedTimer timer(&metrics_.total_nanos);
   // Specials: sps irrelevant after the projection are discarded; controls
   // keep their anchors.
   std::vector<ElementBatch::Special>& specials = batch.specials();
@@ -95,7 +82,7 @@ bool SaProject::ProcessColumnar(ElementBatch& batch, ElementBatch* out, int) {
   return true;
 }
 
-void SaProject::ProcessElement(StreamElement& elem) {
+void SaProject::Process(StreamElement&& elem, int) {
   if (elem.is_sp()) {
     ++metrics_.sps_in;
     if (SpIrrelevantAfterProjection(elem.sp())) return;
@@ -109,8 +96,13 @@ void SaProject::ProcessElement(StreamElement& elem) {
 
   ++metrics_.tuples_in;
   Tuple& t = elem.tuple();
-  std::vector<Value> projected;
-  projected.reserve(keep_columns_.size());
+  // The projection is built in a reused buffer and swapped in, so the
+  // tuple's old buffer becomes the next call's scratch and the row path
+  // allocates nothing per tuple. A fresh vector per tuple (and freeing the
+  // old one) scattered an upstream join's window tuples across the heap
+  // and slowed its probe (docs/PERFORMANCE.md).
+  std::vector<Value>& projected = scratch_;
+  projected.clear();
   for (size_t j = 0; j < keep_columns_.size(); ++j) {
     const int col = keep_columns_[j];
     if (col >= 0 && static_cast<size_t>(col) < t.values.size()) {
@@ -133,7 +125,7 @@ void SaProject::ProcessElement(StreamElement& elem) {
       projected.push_back(Value::Null());
     }
   }
-  t.values = std::move(projected);
+  t.values.swap(projected);
   EmitTuple(std::move(t));
 }
 

@@ -22,9 +22,7 @@ class SaProject : public Operator {
   const SchemaPtr& output_schema() const { return output_schema_; }
 
  protected:
-  void Process(StreamElement elem, int) override;
-  /// Batch kernel: one timer and dispatch per batch, tight column loop.
-  void ProcessBatch(ElementBatch& batch, int) override;
+  void Process(StreamElement&& elem, int) override;
   /// Columnar kernel: move whole column arrays into the output order — no
   /// per-row work at all. Out-of-range keep columns become null columns
   /// (the per-element path's Value::Null() behaviour).
@@ -32,8 +30,6 @@ class SaProject : public Operator {
                        int port) override;
 
  private:
-  void ProcessElement(StreamElement& elem);
-
   /// True when the sp's attribute pattern matches none of the retained
   /// attributes (the sp governed only projected-away columns).
   bool SpIrrelevantAfterProjection(const SecurityPunctuation& sp) const;
@@ -41,6 +37,8 @@ class SaProject : public Operator {
   std::vector<int> keep_columns_;
   SchemaPtr input_schema_;
   SchemaPtr output_schema_;
+  // Row-path projection buffer (see Process).
+  std::vector<Value> scratch_;
 };
 
 }  // namespace spstream

@@ -4,18 +4,6 @@
 
 namespace spstream {
 
-void SaSelect::Process(StreamElement elem, int) {
-  ScopedTimer timer(&metrics_.total_nanos);
-  ProcessElement(elem);
-}
-
-void SaSelect::ProcessBatch(ElementBatch& batch, int) {
-  ScopedTimer timer(&metrics_.total_nanos);
-  for (StreamElement& e : batch.elements()) {
-    ProcessElement(e);
-  }
-}
-
 bool SaSelect::ProcessColumnar(ElementBatch& batch, ElementBatch* out, int) {
   if (!vector_pred_tried_) {
     vector_pred_tried_ = true;
@@ -24,7 +12,6 @@ bool SaSelect::ProcessColumnar(ElementBatch& batch, ElementBatch* out, int) {
   }
   if (!vector_pred_.has_value()) return false;  // scalar fallback
   VectorPredicate& pred = *vector_pred_;
-  ScopedTimer timer(&metrics_.total_nanos);
   std::vector<ElementBatch::Special> kept;
   std::vector<uint32_t> sel;
   sel.reserve(batch.num_live_rows());
@@ -81,7 +68,7 @@ bool SaSelect::ProcessColumnar(ElementBatch& batch, ElementBatch* out, int) {
   return true;
 }
 
-void SaSelect::ProcessElement(StreamElement& elem) {
+void SaSelect::Process(StreamElement&& elem, int) {
   if (elem.is_sp()) {
     ++metrics_.sps_in;
     const Timestamp sp_ts = elem.sp().ts();

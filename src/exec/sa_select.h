@@ -19,9 +19,7 @@ class SaSelect : public Operator {
   const ExprPtr& predicate() const { return predicate_; }
 
  protected:
-  void Process(StreamElement elem, int) override;
-  /// Batch kernel: one timer and dispatch per batch, tight eval loop.
-  void ProcessBatch(ElementBatch& batch, int) override;
+  void Process(StreamElement&& elem, int) override;
   /// Columnar kernel: compile the predicate once (row fallback when it has
   /// no vectorized form), then narrow the batch's selection vector in
   /// place — dropped rows are never copied or materialized.
@@ -29,8 +27,6 @@ class SaSelect : public Operator {
                        int port) override;
 
  private:
-  void ProcessElement(StreamElement& elem);
-
   ExprPtr predicate_;
   // Compiled-once vector form of predicate_ (the expression is immutable
   // after construction); nullopt until first ProcessColumnar, which falls

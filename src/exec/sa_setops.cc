@@ -13,8 +13,7 @@ bool SaSetOp::ValuesEqual(const Tuple& a, const Tuple& b) {
   return a.values == b.values;
 }
 
-void SaSetOp::Process(StreamElement elem, int port) {
-  ScopedTimer total(&metrics_.total_nanos);
+void SaSetOp::Process(StreamElement&& elem, int port) {
   if (elem.is_sp()) {
     ++metrics_.sps_in;
     ScopedTimer t(&metrics_.sp_maintenance_nanos);

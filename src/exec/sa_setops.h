@@ -42,7 +42,7 @@ class SaSetOp : public Operator {
   const SegmentedWindow& right_window() const { return window_; }
 
  protected:
-  void Process(StreamElement elem, int port) override;
+  void Process(StreamElement&& elem, int port) override;
 
  private:
   static bool ValuesEqual(const Tuple& a, const Tuple& b);

@@ -82,21 +82,6 @@ void SaJoinBase::EmitJoinResult(const Tuple& left, const Tuple& right,
     return;
   }
   const Timestamp out_ts = std::max(left.ts, right.ts);
-  if (col_out_ != nullptr) {
-    // Columnar emission: the result's values go straight into the output
-    // batch's columns — no Tuple, no StreamElement, no downstream re-wrap.
-    if (output_emitter_.NeedsSp(out_roles, out_ts)) {
-      ++metrics_.sps_out;
-      col_out_->AppendSpecial(StreamElement(
-          SynthesizeSp(out_roles, output_emitter_.MonotoneTs(out_ts),
-                       options_.output_stream_name, *ctx_->roles)));
-    }
-    ++metrics_.tuples_out;
-    col_out_->AppendComposedTuple(options_.output_sid,
-                                  std::max(left.tid, right.tid), out_ts,
-                                  left.values, right.values);
-    return;
-  }
   if (output_emitter_.NeedsSp(out_roles, out_ts)) {
     EmitSp(SynthesizeSp(out_roles, output_emitter_.MonotoneTs(out_ts),
                         options_.output_stream_name, *ctx_->roles));
@@ -145,22 +130,22 @@ void SaJoinBase::ProcessTuple(Tuple t, int port) {
   {
     ScopedTimer tm(&metrics_.tuple_maintenance_nanos);
     std::tie(seg, created) = windows_[port].InsertTuple(
-        t, t_policy, trackers_[port].current_batch());
+        std::move(t), t_policy, trackers_[port].current_batch());
   }
   if (created) {
     ScopedTimer tm(&metrics_.sp_maintenance_nanos);
     OnSegmentTouched(seg, created, port);
   }
 
-  // 3. Join: probe the opposite window.
+  // 3. Join: probe the opposite window with the resident copy (a deque
+  // append keeps references to its elements valid).
   {
     ScopedTimer tj(&metrics_.join_nanos);
-    Probe(t, t_policy, port);
+    Probe(seg->tuples.back(), t_policy, port);
   }
 }
 
-void SaJoinBase::Process(StreamElement elem, int port) {
-  ScopedTimer total(&metrics_.total_nanos);
+void SaJoinBase::Process(StreamElement&& elem, int port) {
   assert(port == 0 || port == 1);
   if (elem.is_sp()) {
     ProcessSp(elem.sp(), port);
@@ -172,73 +157,6 @@ void SaJoinBase::Process(StreamElement elem, int port) {
   }
   ProcessTuple(std::move(elem.tuple()), port);
   UpdateStateBytes();
-}
-
-void SaJoinBase::ProcessBatch(ElementBatch& batch, int port) {
-  ScopedTimer total(&metrics_.total_nanos);
-  assert(port == 0 || port == 1);
-  bool state_changed = false;
-  for (StreamElement& e : batch.elements()) {
-    if (e.is_sp()) {
-      ProcessSp(e.sp(), port);
-      state_changed = true;
-    } else if (e.is_tuple()) {
-      ProcessTuple(std::move(e.tuple()), port);
-      state_changed = true;
-    } else {
-      Emit(std::move(e));
-    }
-  }
-  // One gauge refresh per batch. Peaks are sampled at batch granularity;
-  // window state grows monotonically between invalidations, so the
-  // end-of-batch sample tracks the true peak closely (exactly at size 1).
-  if (state_changed) UpdateStateBytes();
-}
-
-namespace {
-/// Clears the columnar-output pointer even if Probe throws (the engine
-/// quarantines the query on exceptions, but the operator must not be left
-/// pointing at a dead stack batch).
-struct ColOutScope {
-  ElementBatch** slot;
-  ColOutScope(ElementBatch** s, ElementBatch* next) : slot(s) { *slot = next; }
-  ~ColOutScope() { *slot = nullptr; }
-};
-}  // namespace
-
-bool SaJoinBase::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
-                                 int port) {
-  ScopedTimer total(&metrics_.total_nanos);
-  assert(port == 0 || port == 1);
-  ColOutScope scope(&col_out_, out);
-  bool state_changed = false;
-  std::vector<ElementBatch::Special>& specials = batch.specials();
-  size_t si = 0;
-  auto handle_special = [&](ElementBatch::Special& s) {
-    if (s.elem.is_sp()) {
-      ProcessSp(s.elem.sp(), port);
-      state_changed = true;
-    } else {
-      out->AppendSpecial(std::move(s.elem));  // control passes through
-    }
-  };
-  const size_t live = batch.num_live_rows();
-  for (size_t k = 0; k < live; ++k) {
-    const uint32_t r = batch.live_row(k);
-    while (si < specials.size() && specials[si].before_row <= r) {
-      handle_special(specials[si]);
-      ++si;
-    }
-    // The windows store Tuples, so each input row materializes once here —
-    // the same cost the row path paid to carry the element in.
-    ProcessTuple(batch.MaterializeTuple(r), port);
-    state_changed = true;
-  }
-  for (; si < specials.size(); ++si) {
-    handle_special(specials[si]);
-  }
-  if (state_changed) UpdateStateBytes();
-  return true;
 }
 
 void SaJoinNl::Probe(const Tuple& t, const PolicyPtr& t_policy,

@@ -68,27 +68,15 @@ class SaJoinBase : public Operator {
   /// the index variant reconstructs its SPIndexes here.
   virtual void OnWindowsRestored() {}
 
-  void Process(StreamElement elem, int port) override;
-  /// Batch kernel: per-tuple invalidation/insert/probe semantics are
-  /// identical to Process (window expiry depends on each tuple's ts), but
-  /// the state-bytes gauge refresh — O(1) since SegmentedWindow accounts
-  /// memory incrementally, yet not free — and the dispatch happen once per
-  /// batch.
-  void ProcessBatch(ElementBatch& batch, int port) override;
-  /// Columnar kernel: input rows still materialize one Tuple each (the
-  /// windows store Tuples), but every join result is appended straight
-  /// into the output batch's columns by EmitJoinResult — the per-match
-  /// Tuple + StreamElement construction that dominated the batch>1
-  /// regression (docs/PERFORMANCE.md) never happens, and downstream
-  /// operators receive a columnar batch.
-  bool ProcessColumnar(ElementBatch& batch, ElementBatch* out,
-                       int port) override;
+  /// Row path only: the windows store Tuples, so a columnar input decays
+  /// here (a columnar join kernel measured slower; docs/PERFORMANCE.md).
+  /// The state-bytes gauge refreshes per tuple.
+  void Process(StreamElement&& elem, int port) override;
 
-  /// \brief Shared tuple path of Process/ProcessBatch: invalidate the
-  /// opposite window, resolve the policy, insert, probe. Does NOT refresh
-  /// the state-bytes gauge — callers do, per element or per batch.
+  /// \brief Tuple path: invalidate the opposite window, resolve the
+  /// policy, insert, probe.
   void ProcessTuple(Tuple t, int port);
-  /// \brief Shared sp path: install into the port's tracker.
+  /// \brief Sp path: install into the port's tracker.
   void ProcessSp(const SecurityPunctuation& sp, int port);
 
   /// \brief Variant-specific: probe the window opposite to `from_port` with
@@ -129,10 +117,6 @@ class SaJoinBase : public Operator {
   PolicyTracker trackers_[2];
   SegmentedWindow windows_[2];
   OutputPolicyEmitter output_emitter_;
-  // Non-null while ProcessColumnar runs: EmitJoinResult appends results
-  // (and synthesized sps) straight to this columnar output batch instead
-  // of going through Emit's per-element collect path.
-  ElementBatch* col_out_ = nullptr;
 
  private:
   // Checkpoint cursor over the scalar state (the windows keep their own).

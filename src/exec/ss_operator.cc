@@ -110,23 +110,8 @@ bool SsOperator::ApplyAttributeMask(Tuple* t) {
   return any_visible;
 }
 
-void SsOperator::Process(StreamElement elem, int) {
-  ScopedTimer timer(&metrics_.total_nanos);
-  ProcessElement(elem);
-}
-
-void SsOperator::ProcessBatch(ElementBatch& batch, int) {
-  // One timer and one dispatch per batch; per-tuple work between sps is the
-  // memoized boolean in HandleTuple.
-  ScopedTimer timer(&metrics_.total_nanos);
-  for (StreamElement& e : batch.elements()) {
-    ProcessElement(e);
-  }
-}
-
 bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
                                  int) {
-  ScopedTimer timer(&metrics_.total_nanos);
   std::vector<ElementBatch::Special> kept;
   std::vector<uint32_t> sel;
   sel.reserve(batch.num_live_rows());
@@ -197,7 +182,7 @@ bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
   return true;
 }
 
-void SsOperator::ProcessElement(StreamElement& elem) {
+void SsOperator::Process(StreamElement&& elem, int) {
   if (elem.is_sp()) {
     HandleSp(elem);
   } else if (elem.is_tuple()) {

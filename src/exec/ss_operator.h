@@ -81,10 +81,9 @@ class SsOperator : public Operator {
   Status RestoreState(std::string_view blob) override;
 
  protected:
-  void Process(StreamElement elem, int port) override;
-  /// Batch kernel: one timer per batch, one policy-match memo per tuple run
-  /// between sps — per-tuple work between sps is a cached boolean.
-  void ProcessBatch(ElementBatch& batch, int port) override;
+  /// Row path: one policy-match memo per tuple run between sps — per-tuple
+  /// work between sps is a cached boolean.
+  void Process(StreamElement&& elem, int port) override;
   /// Columnar kernel: sps in the specials list delimit tuple runs; each
   /// run's first tuple decides via the slow path and the rest of the run
   /// rides the memo without ever being materialized. Passing rows narrow
@@ -93,7 +92,6 @@ class SsOperator : public Operator {
                        int port) override;
 
  private:
-  void ProcessElement(StreamElement& elem);
   void HandleSp(StreamElement& elem);
   void HandleTuple(StreamElement& elem);
   /// Shared decision slow path (memo invalid): resolve the policy, check

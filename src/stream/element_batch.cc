@@ -65,59 +65,6 @@ Tuple ElementBatch::MaterializeTuple(size_t row) const {
   return Tuple(sids_[row], tids_[row], std::move(values), tss_[row]);
 }
 
-void ElementBatch::AppendSpecial(StreamElement e) {
-  if (!columnar_) {
-    if (elems_.empty()) {
-      BeginColumnar();
-    } else {
-      if (e.is_end_of_stream()) has_eos_ = true;
-      elems_.push_back(std::move(e));
-      return;
-    }
-  }
-  if (e.is_end_of_stream()) has_eos_ = true;
-  specials_.push_back(
-      Special{static_cast<uint32_t>(num_rows()), std::move(e)});
-}
-
-void ElementBatch::AppendComposedTuple(StreamId sid, TupleId tid,
-                                       Timestamp ts,
-                                       const std::vector<Value>& a,
-                                       const std::vector<Value>& b) {
-  const size_t arity = a.size() + b.size();
-  if (!columnar_ && elems_.empty()) BeginColumnar();
-  if (columnar_) {
-    if (!ncols_set_) LatchColumns(arity);
-    if (arity == cols_.size()) {
-      bool ok = true;
-      for (size_t i = 0; ok && i < a.size(); ++i) ok = cols_[i].Accepts(a[i]);
-      for (size_t i = 0; ok && i < b.size(); ++i) {
-        ok = cols_[a.size() + i].Accepts(b[i]);
-      }
-      if (ok) {
-        for (size_t i = 0; i < a.size(); ++i) cols_[i].TryAppend(a[i]);
-        for (size_t i = 0; i < b.size(); ++i) {
-          cols_[a.size() + i].TryAppend(b[i]);
-        }
-        sids_.push_back(sid);
-        tids_.push_back(tid);
-        tss_.push_back(ts);
-        if (has_sel_) sel_.push_back(static_cast<uint32_t>(num_rows() - 1));
-        return;
-      }
-    }
-    DecayToRows();
-  }
-  Tuple t;
-  t.sid = sid;
-  t.tid = tid;
-  t.ts = ts;
-  t.values.reserve(arity);
-  t.values.insert(t.values.end(), a.begin(), a.end());
-  t.values.insert(t.values.end(), b.begin(), b.end());
-  elems_.push_back(StreamElement(std::move(t)));
-}
-
 void ElementBatch::DecayToRows() const {
   if (!columnar_) return;
   std::vector<StreamElement> out;

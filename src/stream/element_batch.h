@@ -109,8 +109,8 @@ class ElementBatch {
   }
 
   /// \brief True when the batch carries an end-of-stream control anywhere.
-  /// Operators fall back to the per-element path for such (rare, terminal)
-  /// batches so the finished-port accounting stays in one place.
+  /// Such (rare, terminal) batches skip the columnar kernels: the row path
+  /// does the finished-port accounting.
   bool has_eos() const { return has_eos_; }
 
   /// \brief Row view; decays a columnar batch first.
@@ -172,19 +172,6 @@ class ElementBatch {
 
   /// \brief Rebuild the Tuple stored at original row `row`.
   Tuple MaterializeTuple(size_t row) const;
-
-  /// \brief Append an sp/control anchored after every current row. The
-  /// batch switches to columnar when still empty so sp-led output batches
-  /// (the join synthesizes an sp before the first result) stay columnar.
-  void AppendSpecial(StreamElement e);
-
-  /// \brief Append a result tuple whose values are the concatenation of
-  /// `a` and `b` (the join emission path) straight into the columns —
-  /// no Tuple, no StreamElement. Decays and appends as a row on arity or
-  /// type conflict; never fails.
-  void AppendComposedTuple(StreamId sid, TupleId tid, Timestamp ts,
-                           const std::vector<Value>& a,
-                           const std::vector<Value>& b);
 
   /// \brief Count live tuples and sps (metrics) without materializing.
   void CountLive(int64_t* tuples, int64_t* sps) const;

@@ -26,6 +26,9 @@
 
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "exec/sa_project.h"
+#include "exec/sa_select.h"
+#include "exec/ss_operator.h"
 #include "test_util.h"
 
 namespace spstream {
@@ -429,6 +432,57 @@ TEST(BatchMetricsTest, ExplainAnalyzeReportsBatchCounters) {
   const std::string metrics = engine.DumpMetrics(MetricsFormat::kJson);
   EXPECT_NE(metrics.find("\"batches_in\""), std::string::npos);
   EXPECT_NE(metrics.find("\"batch_elements_in\""), std::string::npos);
+}
+
+// Operator::PushBatch holds each operator's only timer and stops it before
+// forwarding, so every operator (the sink included) reports its own time
+// and the times add up to no more than the run's wall time.
+TEST(BatchMetricsTest, OperatorTimesAreOwnTimeAndIncludeTheSink) {
+  RoleCatalog roles;
+  const std::vector<RoleId> ids = roles.RegisterSyntheticRoles(2);
+  StreamCatalog streams;
+  ExecContext ctx{&roles, &streams};
+  const SchemaPtr schema = MakeSchema(
+      "A", {Field{"k", ValueType::kInt64}, Field{"v", ValueType::kInt64}});
+  std::vector<StreamElement> input;
+  for (TupleId i = 0; i < 2000; ++i) {
+    if (i % 100 == 0) {
+      input.emplace_back(sptest::MakeSp("A", {ids[i % 200 == 0 ? 0 : 1]},
+                                        static_cast<Timestamp>(1 + i)));
+    }
+    input.emplace_back(sptest::MakeTuple(
+        i, {static_cast<int64_t>(i % 7), static_cast<int64_t>(i)},
+        static_cast<Timestamp>(1 + i)));
+  }
+  for (size_t batch : {size_t{1}, size_t{256}}) {
+    SCOPED_TRACE("batch_per_poll " + std::to_string(batch));
+    Pipeline pipeline(&ctx);
+    auto* src = pipeline.Add<SourceOperator>("src", input);
+    SsOptions ss_opts;
+    ss_opts.stream_name = "A";
+    ss_opts.schema = schema;
+    ss_opts.predicates = {RoleSet::FromIds({ids[0]})};
+    std::vector<Operator*> ops = {
+        pipeline.Add<SsOperator>(ss_opts),
+        pipeline.Add<SaSelect>(Expr::Compare(
+            Expr::CmpOp::kLt, Expr::Column(0), Expr::Literal(Value(5)))),
+        pipeline.Add<SaProject>(std::vector<int>{1}, schema),
+        pipeline.Add<CollectorSink>()};
+    src->AddOutput(ops[0]);
+    for (size_t i = 0; i + 1 < ops.size(); ++i) ops[i]->AddOutput(ops[i + 1]);
+
+    const int64_t t0 = NowNanos();
+    pipeline.Run(batch);
+    const int64_t wall = NowNanos() - t0;
+
+    int64_t sum = 0;
+    for (Operator* op : ops) {
+      EXPECT_GT(op->metrics().total_nanos, 0) << op->label();
+      sum += op->metrics().total_nanos;
+    }
+    EXPECT_LE(sum, wall);
+    EXPECT_GT(static_cast<CollectorSink*>(ops.back())->Tuples().size(), 0u);
+  }
 }
 
 }  // namespace

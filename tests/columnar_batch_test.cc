@@ -230,30 +230,6 @@ TEST(ColumnarBatchTest, EmptySelectionLeavesOnlySpecials) {
   EXPECT_TRUE(elems[0].is_sp());
 }
 
-TEST(ColumnarBatchTest, AppendComposedTupleBuildsJoinRowsDirectly) {
-  ElementBatch out;  // join output: starts empty and row-mode
-  out.AppendSpecial(StreamElement(MakeSp("J", {1}, 7)));
-  EXPECT_TRUE(out.is_columnar());  // sp-led output switches to columnar
-  const std::vector<Value> left = {Value(int64_t{1}), Value("l")};
-  const std::vector<Value> right = {Value(2.5)};
-  out.AppendComposedTuple(9, 77, 123, left, right);
-  ASSERT_TRUE(out.is_columnar());
-  ASSERT_EQ(out.num_rows(), 1u);
-  ASSERT_EQ(out.num_columns(), 3u);
-  Tuple t = out.MaterializeTuple(0);
-  EXPECT_EQ(t.sid, 9u);
-  EXPECT_EQ(t.tid, 77);
-  EXPECT_EQ(t.ts, 123);
-  EXPECT_EQ(t.values[0].int64(), 1);
-  EXPECT_EQ(t.values[1].str(), "l");
-  EXPECT_EQ(t.values[2].dbl(), 2.5);
-  // The sp precedes the composed row on decay.
-  const std::vector<StreamElement>& elems = out.elements();
-  ASSERT_EQ(elems.size(), 2u);
-  EXPECT_TRUE(elems[0].is_sp());
-  EXPECT_TRUE(elems[1].is_tuple());
-}
-
 TEST(ColumnarBatchTest, CountLiveMatchesWithoutMaterializing) {
   ElementBatch batch;
   batch.BeginColumnar();

@@ -9,8 +9,9 @@
 //  * SaSelect / SaProject / SsOperator (with attribute masking) and a
 //    chained SS -> select -> project plan, driven at random batch sizes
 //    against batch-per-poll = 1;
-//  * SaJoinNl fed by hand with identical port interleavings, per-element
-//    Push vs columnar PushBatch;
+//  * SaJoinNl fed by hand with identical port interleavings, one-element
+//    row PushBatch calls vs columnar PushBatch (the join has no columnar
+//    kernel, so this pins the decay of columnar input);
 //  * VectorPredicate::Test vs Expr::EvalBool on random predicate trees;
 //  * random ascending selection vectors, DecayToRows vs a hand-built
 //    expected interleave of live rows and specials.
@@ -336,15 +337,16 @@ TEST_F(ColumnarFuzzTest, SsSelectProjectChainMatchesScalarPath) {
   }
 }
 
-// ---- join: identical port interleavings, Push vs PushBatch -----------
+// ---- join: identical port interleavings, rows vs columnar input -------
 
 struct PortedElement {
   int port;
   StreamElement elem;
 };
 
-/// Feed `script` to a fresh SaJoinNl; per-element Push when batch == 0,
-/// else columnar PushBatch cut at port switches and `batch` elements.
+/// Feed `script` to a fresh SaJoinNl; one-element row PushBatch calls when
+/// batch == 0, else columnar PushBatch cut at port switches and `batch`
+/// elements.
 std::vector<std::string> RunJoinScript(ExecContext* ctx,
                                        const SaJoinOptions& jopts,
                                        const std::vector<PortedElement>& script,
@@ -354,7 +356,9 @@ std::vector<std::string> RunJoinScript(ExecContext* ctx,
   auto* sink = pipeline.Add<CollectorSink>();
   join->AddOutput(sink);
   if (batch == 0) {
-    for (const PortedElement& pe : script) join->Push(pe.elem, pe.port);
+    for (const PortedElement& pe : script) {
+      join->PushBatch(ElementBatch({pe.elem}), pe.port);
+    }
   } else {
     ElementBatch buf;
     int buf_port = -1;
@@ -376,7 +380,7 @@ std::vector<std::string> RunJoinScript(ExecContext* ctx,
   return Render(sink->elements());
 }
 
-TEST_F(ColumnarFuzzTest, JoinKernelMatchesScalarPath) {
+TEST_F(ColumnarFuzzTest, JoinColumnarInputMatchesScalarPath) {
   for (size_t seed = 0; seed < kCasesPerSuite; ++seed) {
     Rng rng(11000 + seed);
     // Int- or string-keyed equijoin on column 0 of both sides.

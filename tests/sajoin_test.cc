@@ -344,5 +344,45 @@ TEST_F(SaJoinTest, MetricsBreakdownPopulated) {
   EXPECT_GT(m.peak_state_bytes, 0);
 }
 
+// The join refreshes its state gauge per tuple, so the peak it reports is
+// a property of the input sequence, not of how that sequence was batched.
+// The input peaks mid-run: the right side's last tuple expires the whole
+// left window, so a gauge sampled only at batch ends would miss the peak.
+TEST_F(SaJoinTest, PeakStateIndependentOfBatchSize) {
+  std::vector<std::pair<int, StreamElement>> input;
+  for (int port = 0; port < 2; ++port) {
+    input.emplace_back(port, MakeSp(port == 0 ? "s1" : "s2", {ids_[0]}, 1));
+    for (TupleId i = 0; i < 40; ++i) {
+      input.emplace_back(port, JoinTuple(port * 100 + i, i % 5,
+                                         static_cast<Timestamp>(1 + i)));
+    }
+  }
+  input.emplace_back(1, JoinTuple(999, 0, 1000));
+  // Feed `input` in batches of up to `batch` elements, cut at port
+  // switches, so every batch size sees the same element sequence.
+  auto peak_at = [&](size_t batch) {
+    Pipeline pipeline(&ctx_);
+    auto* join = pipeline.Add<SaJoinIndex>(Options(/*window=*/100));
+    auto* sink = pipeline.Add<CollectorSink>();
+    join->AddOutput(sink);
+    ElementBatch buf;
+    int buf_port = 0;
+    for (const auto& [port, elem] : input) {
+      if (port != buf_port || buf.size() >= batch) {
+        join->PushBatch(std::move(buf), buf_port);
+        buf = ElementBatch();
+        buf_port = port;
+      }
+      buf.push_back(elem);
+    }
+    join->PushBatch(std::move(buf), buf_port);
+    EXPECT_GT(sink->Tuples().size(), 0u);
+    return join->metrics().peak_state_bytes;
+  };
+  const int64_t peak1 = peak_at(1);
+  EXPECT_GT(peak1, 0);
+  EXPECT_EQ(peak_at(64), peak1);
+}
+
 }  // namespace
 }  // namespace spstream

@@ -164,11 +164,11 @@ TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpoch) {
   for (size_t e = 0; e < kEpochs; ++e) {
     for (size_t i = 0; i < kPerShardPerEpoch; ++i) {
       for (size_t s = 0; s < kShards; ++s) {
-        manager.Route(s, sources[s],
-                      StreamElement(sptest::MakeTuple(
-                          static_cast<TupleId>(e * kPerShardPerEpoch + i),
-                          {static_cast<int64_t>(s)},
-                          static_cast<Timestamp>(i + 1))));
+        manager.RouteBatch(
+            s, sources[s],
+            ElementBatch({StreamElement(sptest::MakeTuple(
+                static_cast<TupleId>(e * kPerShardPerEpoch + i),
+                {static_cast<int64_t>(s)}, static_cast<Timestamp>(i + 1)))}));
       }
     }
     manager.CompleteEpoch();
@@ -189,6 +189,40 @@ TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpoch) {
   }
   manager.Stop();
   manager.Stop();  // idempotent
+}
+
+TEST(ShardManagerStress, WorkerHandsColumnarBatchesOverWithoutDecay) {
+  RoleCatalog roles;
+  StreamCatalog streams;
+  MetricsRegistry metrics;
+  ExecContext ctx{&roles, &streams, &metrics, nullptr};
+  Pipeline pipeline(&ctx);
+  auto* src = pipeline.Add<PushSource>();
+  auto* sink = pipeline.Add<CollectorSink>();
+  src->AddOutput(sink);
+
+  ElementBatch batch;
+  batch.BeginColumnar();
+  batch.push_back(StreamElement(sptest::MakeSp("A", {0}, 1)));
+  for (TupleId i = 0; i < 16; ++i) {
+    batch.push_back(StreamElement(sptest::MakeTuple(
+        i, {static_cast<int64_t>(i)}, static_cast<Timestamp>(2 + i))));
+  }
+  ASSERT_TRUE(batch.is_columnar());
+
+  ShardManager manager(/*num_shards=*/1);
+  manager.RouteBatch(0, src, std::move(batch));
+  manager.CompleteEpoch();
+  EXPECT_TRUE(manager.TakeEpochFaults().empty());
+  // The worker counts and samples the batch in place: the sink receives it
+  // as one columnar chunk, not a decayed row batch.
+  EXPECT_GT(sink->columnar_chunks(), 0u);
+  EXPECT_EQ(sink->Tuples().size(), 16u);
+  EXPECT_EQ(sink->Sps().size(), 1u);
+  const ShardManager::ShardStats stats = manager.Stats(0);
+  EXPECT_EQ(stats.tuples_processed, 16);
+  EXPECT_EQ(stats.sps_processed, 1);
+  manager.Stop();
 }
 
 // ---- Full engine under load --------------------------------------------
