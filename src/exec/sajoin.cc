@@ -63,7 +63,8 @@ SaJoinBase::SaJoinBase(ExecContext* ctx, SaJoinOptions options,
 void SaJoinBase::UpdateStateBytes() {
   metrics_.NoteStateBytes(static_cast<int64_t>(
       windows_[0].MemoryBytes() + windows_[1].MemoryBytes() +
-      trackers_[0].MemoryBytes() + trackers_[1].MemoryBytes()));
+      trackers_[0].MemoryBytes() + trackers_[1].MemoryBytes() +
+      IndexMemoryBytes()));
 }
 
 void SaJoinBase::EmitJoinResult(const Tuple& left, const Tuple& right,
@@ -193,26 +194,26 @@ void SaJoinNl::Probe(const Tuple& t, const PolicyPtr& t_policy,
 
 // ---------------------------------------------------------------- SpIndex
 
-SpIndex::~SpIndex() {
-  for (auto& [seg, entry] : by_segment_) {
-    (void)seg;
-    delete entry;
-  }
+size_t SpIndex::EntryBytes(const Entry& e) {
+  return sizeof(Entry) + e.roles.capacity() * sizeof(RoleId) +
+         e.next.capacity() * sizeof(Entry*) + sizeof(void*) * 4;
 }
 
 void SpIndex::Insert(Segment* segment) {
   assert(segment->policy);
-  auto* entry = new Entry();
+  auto owned = std::make_unique<Entry>();
+  Entry* entry = owned.get();
   entry->segment = segment;
   entry->roles = segment->policy->allowed().ToIds();  // ascending
-  if (entry->roles.empty()) {
-    // Deny-all segments can never be policy-compatible; indexing them under
-    // no role keeps them unreachable, which is exactly right.
-    by_segment_.emplace(segment, entry);
-    ++entry_count_;
-    return;
-  }
-  entry->first_role = entry->roles.front();
+  if (!entry->roles.empty()) Link(entry);
+  // Deny-all segments can never be policy-compatible; indexing them under
+  // no role keeps them unreachable, which is exactly right.
+  entry_bytes_ += EntryBytes(*entry);
+  by_segment_.emplace(segment, std::move(owned));
+  ++entry_count_;
+}
+
+void SpIndex::Link(Entry* entry) {
   entry->next.assign(entry->roles.size(), nullptr);
   for (size_t i = 0; i < entry->roles.size(); ++i) {
     const RoleId r = entry->roles[i];
@@ -229,8 +230,6 @@ void SpIndex::Insert(Segment* segment) {
       node.tail = entry;
     }
   }
-  by_segment_.emplace(segment, entry);
-  ++entry_count_;
 }
 
 SpIndex::Entry* SpIndex::FindEntrySlot(Entry* e, RoleId role,
@@ -244,7 +243,7 @@ SpIndex::Entry* SpIndex::FindEntrySlot(Entry* e, RoleId role,
 void SpIndex::Remove(Segment* segment) {
   auto it = by_segment_.find(segment);
   if (it == by_segment_.end()) return;
-  Entry* entry = it->second;
+  Entry* entry = it->second.get();
   for (size_t i = 0; i < entry->roles.size(); ++i) {
     const RoleId r = entry->roles[i];
     RNode& node = rnodes_[r];
@@ -268,8 +267,8 @@ void SpIndex::Remove(Segment* segment) {
       }
     }
   }
+  entry_bytes_ -= EntryBytes(*entry);
   by_segment_.erase(it);
-  delete entry;
   --entry_count_;
 }
 
@@ -317,17 +316,6 @@ size_t SpIndex::Probe(
     }
   }
   return touched;
-}
-
-size_t SpIndex::MemoryBytes() const {
-  size_t bytes = sizeof(SpIndex) + rnodes_.capacity() * sizeof(RNode);
-  for (const auto& [seg, entry] : by_segment_) {
-    (void)seg;
-    bytes += sizeof(Entry) + entry->roles.capacity() * sizeof(RoleId) +
-             entry->next.capacity() * sizeof(Entry*);
-  }
-  bytes += by_segment_.size() * (sizeof(void*) * 4);
-  return bytes;
 }
 
 // ---- durable state (docs/DURABILITY.md) ------------------------------------
@@ -388,7 +376,12 @@ void SaJoinBase::OnRestoreComplete() {
 SaJoinIndex::SaJoinIndex(ExecContext* ctx, SaJoinOptions options,
                          std::string label)
     : SaJoinBase(ctx, std::move(options), std::move(label)),
-      indexes_{SpIndex(ctx->roles->size()), SpIndex(ctx->roles->size())} {}
+      indexes_{SpIndex(ctx->roles->size()), SpIndex(ctx->roles->size())} {
+  if (options_.use_skipping_rule) {
+    windows_[0].IndexKeys(options_.left_key_col);
+    windows_[1].IndexKeys(options_.right_key_col);
+  }
+}
 
 void SaJoinIndex::OnSegmentTouched(Segment* segment, bool created, int port) {
   if (created) indexes_[port].Insert(segment);
@@ -402,7 +395,8 @@ void SaJoinIndex::OnWindowsRestored() {
   // Rebuild both SPIndexes from the recovered segments. Segment objects are
   // freshly allocated by the restore, so the old pointer keys are gone —
   // start from empty indexes and re-insert in FIFO (front-to-back) order to
-  // preserve the expiry-order property the skipping rule relies on.
+  // preserve the expiry-order property the skipping rule relies on. (The
+  // segments' key maps were rebuilt by SegmentedWindow::ApplyCheckpoint.)
   for (int port = 0; port < 2; ++port) {
     indexes_[port] = SpIndex(ctx_->roles->size());
     for (Segment& seg : windows_[port].segments()) {
@@ -415,21 +409,38 @@ void SaJoinIndex::Probe(const Tuple& t, const PolicyPtr& t_policy,
                         int from_port) {
   const int opp = 1 - from_port;
   const KeyMatcher key(KeyOf(t, from_port));
+  // Key maps exist only with the skipping rule (see the constructor).
+  const bool lookup = options_.use_skipping_rule && key.is_i64;
+  auto emit = [&](const Tuple& u, const Segment& seg) {
+    if (from_port == 0) {
+      EmitJoinResult(t, u, *t_policy, *seg.policy);
+    } else {
+      EmitJoinResult(u, t, *seg.policy, *t_policy);
+    }
+  };
   entries_scanned_ += static_cast<int64_t>(indexes_[opp].Probe(
       t_policy->allowed(), options_.use_skipping_rule,
       [&](Segment* seg, bool first_visit) {
         ++segments_processed_;
-        // Only policy-compatible segments reach here; probe their tuples.
-        // On a duplicate visit (naive no-skipping mode) the probing work is
-        // still paid, but matches must not be emitted twice.
+        // Only policy-compatible segments reach here. An int64 key is
+        // looked up when every resident key is int64 too; results come out
+        // oldest first, the scan's order.
+        const uint64_t first = seg->first_position();
+        if (lookup && seg->keys.Exact(first)) {
+          hits_.clear();
+          seg->keys.Find(key.i64, first, &hits_);
+          for (auto it = hits_.rbegin(); it != hits_.rend(); ++it) {
+            emit(seg->tuples[static_cast<size_t>(*it - first)], *seg);
+          }
+          return;
+        }
+        // Otherwise scan the segment. On a duplicate visit (naive
+        // no-skipping mode) the probing work is still paid, but matches
+        // must not be emitted twice.
         for (const Tuple& u : seg->tuples) {
           if (!key(KeyOf(u, opp))) continue;
           if (!first_visit) continue;
-          if (from_port == 0) {
-            EmitJoinResult(t, u, *t_policy, *seg->policy);
-          } else {
-            EmitJoinResult(u, t, *seg->policy, *t_policy);
-          }
+          emit(u, *seg);
         }
       }));
 }

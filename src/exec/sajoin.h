@@ -10,8 +10,12 @@
 //
 // The nested-loop variant scans the opposite window (probe-and-filter or
 // filter-and-probe order); the index variant probes the SPIndex to touch
-// only policy-compatible segments, with the Lemma 5.1 skipping rule.
+// only policy-compatible segments, with the Lemma 5.1 skipping rule, and
+// looks int64 keys up inside them (SegmentKeyMap).
 #pragma once
+
+#include <memory>
+#include <unordered_map>
 
 #include "exec/operator.h"
 #include "exec/policy_tracker.h"
@@ -67,6 +71,10 @@ class SaJoinBase : public Operator {
   /// \brief Hook: the windows were just rebuilt from a checkpoint chain —
   /// the index variant reconstructs its SPIndexes here.
   virtual void OnWindowsRestored() {}
+
+  /// \brief Hook: bytes of variant-specific state (the SPIndexes) for the
+  /// state gauge; O(1), since the gauge refreshes per tuple.
+  virtual size_t IndexMemoryBytes() const { return 0; }
 
   /// Row path only: the windows store Tuples, so a columnar input decays
   /// here (a columnar join kernel measured slower; docs/PERFORMANCE.md).
@@ -144,12 +152,6 @@ class SaJoinNl : public SaJoinBase {
 class SpIndex {
  public:
   explicit SpIndex(size_t role_capacity) : rnodes_(role_capacity) {}
-  ~SpIndex();
-
-  SpIndex(SpIndex&&) = default;
-  SpIndex& operator=(SpIndex&&) = default;
-  SpIndex(const SpIndex&) = delete;
-  SpIndex& operator=(const SpIndex&) = delete;
 
   /// \brief Add an index entry for a newly created segment.
   void Insert(Segment* segment);
@@ -170,12 +172,15 @@ class SpIndex {
                const std::function<void(Segment*, bool first_visit)>& fn);
 
   size_t entry_count() const { return entry_count_; }
-  size_t MemoryBytes() const;
+  /// O(1): entry bytes are counted at Insert and Remove.
+  size_t MemoryBytes() const {
+    return sizeof(SpIndex) + rnodes_.capacity() * sizeof(RNode) +
+           entry_bytes_;
+  }
 
  private:
   struct Entry {
     Segment* segment = nullptr;
-    RoleId first_role = 0;               // for the skipping rule
     std::vector<RoleId> roles;           // ascending
     std::vector<Entry*> next;            // parallel to roles
     uint64_t visit_stamp = 0;            // no-skipping dedup
@@ -185,16 +190,24 @@ class SpIndex {
     Entry* tail = nullptr;
   };
 
+  /// Append `entry` at the r-tail of each of its roles' lists.
+  void Link(Entry* entry);
   Entry* FindEntrySlot(Entry* e, RoleId role, size_t* slot) const;
+  /// An entry's heap footprint, its by_segment_ node included.
+  static size_t EntryBytes(const Entry& e);
 
   std::vector<RNode> rnodes_;
-  std::unordered_map<Segment*, Entry*> by_segment_;
+  std::unordered_map<Segment*, std::unique_ptr<Entry>> by_segment_;
   uint64_t stamp_ = 0;
   size_t entry_count_ = 0;
+  size_t entry_bytes_ = 0;
 };
 
 /// \brief Index SAJoin (§V.B.2): probes the opposite window's SPIndex to
-/// join only with policy-compatible segments.
+/// join only with policy-compatible segments. With the skipping rule, each
+/// delivered segment answers an int64 key through its SegmentKeyMap instead
+/// of a scan; the naive no-skipping mode keeps the scan (the Fig. 9
+/// baseline) and its windows keep no key maps.
 class SaJoinIndex : public SaJoinBase {
  public:
   SaJoinIndex(ExecContext* ctx, SaJoinOptions options,
@@ -214,9 +227,13 @@ class SaJoinIndex : public SaJoinBase {
   void OnSegmentTouched(Segment* segment, bool created, int port) override;
   void OnSegmentPurged(Segment* segment, int port) override;
   void OnWindowsRestored() override;
+  size_t IndexMemoryBytes() const override {
+    return indexes_[0].MemoryBytes() + indexes_[1].MemoryBytes();
+  }
 
  private:
   SpIndex indexes_[2];  // one SPIndex per input window
+  std::vector<uint64_t> hits_;  // key-map lookup buffer, reused per probe
   int64_t entries_scanned_ = 0;
   int64_t segments_processed_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "exec/window.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "security/sp_codec.h"
 #include "storage/state_codec.h"
@@ -30,18 +31,89 @@ void PutSegmentFull(const Segment& s, std::string* out) {
   for (const Tuple& t : s.tuples) storage::PutTuple(t, out);
 }
 
+// A key map is rebuilt once it holds more than 2x resident + this many
+// positions, so its memory stays O(resident) and each rebuild is paid for
+// by at least as many inserts or expiries.
+constexpr size_t kKeyMapSlack = 64;
+
 }  // namespace
 
-size_t Segment::MemoryBytes() const {
-  size_t bytes = sizeof(Segment);
-  bytes += policy ? policy->MemoryBytes() : 0;
-  for (const SecurityPunctuation& sp : sps) bytes += sp.MemoryBytes();
-  for (const Tuple& t : tuples) bytes += t.MemoryBytes();
-  return bytes;
+// ---- SegmentKeyMap ---------------------------------------------------------
+
+void SegmentKeyMap::Resize(size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (const Slot& s : old) {
+    if (s.pos1 == 0) continue;
+    size_t i = Home(s.key);
+    while (slots_[i].pos1 != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
+void SegmentKeyMap::Add(const Value& key, uint64_t pos) {
+  if (prev_.empty()) base_ = pos;
+  if (!key.is_int64()) {
+    prev_.push_back(0);
+    other_end_ = pos + 1;
+    return;
+  }
+  if ((used_ + 1) * 2 > slots_.size()) {
+    Resize(std::max<size_t>(16, slots_.size() * 2));
+  }
+  const int64_t k = key.int64();
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(k);
+  while (slots_[i].pos1 != 0 && slots_[i].key != k) i = (i + 1) & mask;
+  Slot& slot = slots_[i];
+  if (slot.pos1 == 0) {
+    slot.key = k;
+    ++used_;
+  }
+  prev_.push_back(slot.pos1);
+  slot.pos1 = pos + 1;
+}
+
+void SegmentKeyMap::Rebuild(const std::deque<Tuple>& tuples, uint64_t first,
+                            int key_col) {
+  // Size for the distinct keys the old map saw, capped by the tuple count;
+  // Add grows the table if that guess is short.
+  const size_t distinct = std::min(used_, tuples.size());
+  slots_.clear();
+  slots_.shrink_to_fit();
+  used_ = 0;
+  if (distinct > 0) Resize(std::bit_ceil(std::max<size_t>(16, distinct * 2)));
+  prev_ = std::vector<uint64_t>();
+  prev_.reserve(tuples.size());
+  base_ = first;
+  other_end_ = 0;
+  uint64_t pos = first;
+  for (const Tuple& t : tuples) {
+    Add(t.values[static_cast<size_t>(key_col)], pos++);
+  }
+}
+
+void SegmentKeyMap::Find(int64_t key, uint64_t first,
+                         std::vector<uint64_t>* out) const {
+  if (slots_.empty()) return;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(key); slots_[i].pos1 != 0; i = (i + 1) & mask) {
+    if (slots_[i].key != key) continue;
+    // The chain runs newest to oldest; the first expired position ends it.
+    for (uint64_t p1 = slots_[i].pos1; p1 > first;
+         p1 = prev_[p1 - 1 - base_]) {
+      out->push_back(p1 - 1);
+    }
+    return;
+  }
+}
+
+// ---- SegmentedWindow -------------------------------------------------------
+
 size_t SegmentedWindow::SegmentOverheadBytes(const Segment& s) {
-  size_t bytes = sizeof(Segment);
+  size_t bytes = sizeof(Segment) + s.keys.HeapBytes();
   bytes += s.policy ? s.policy->MemoryBytes() : 0;
   for (const SecurityPunctuation& sp : s.sps) bytes += sp.MemoryBytes();
   return bytes;
@@ -60,15 +132,37 @@ std::pair<Segment*, bool> SegmentedWindow::InsertTuple(
       tail.tuples.push_back(std::move(t));
       ++tail.appended;
       bytes_ += tail.tuples.back().MemoryBytes();
+      IndexNewest(&tail);
       return {&tail, false};
     }
   }
-  segments_.push_back(Segment{policy, batch_sps, {}, next_seq_++, 0});
+  segments_.push_back(Segment{policy, batch_sps, {}, next_seq_++, 0, {}});
   Segment& created = segments_.back();
   created.tuples.push_back(std::move(t));
   ++created.appended;
   bytes_ += SegmentOverheadBytes(created) + created.tuples.back().MemoryBytes();
+  IndexNewest(&created);
   return {&created, true};
+}
+
+void SegmentedWindow::IndexNewest(Segment* s) {
+  if (key_col_ < 0) return;
+  bytes_ -= s->keys.HeapBytes();
+  s->keys.Add(s->tuples.back().values[static_cast<size_t>(key_col_)],
+              s->appended - 1);
+  bytes_ += s->keys.HeapBytes();
+  CompactKeys(s, /*force=*/false);
+}
+
+void SegmentedWindow::CompactKeys(Segment* s, bool force) {
+  if (key_col_ < 0) return;
+  if (!force &&
+      s->keys.stored_positions() <= 2 * s->tuples.size() + kKeyMapSlack) {
+    return;
+  }
+  bytes_ -= s->keys.HeapBytes();
+  s->keys.Rebuild(s->tuples, s->first_position(), key_col_);
+  bytes_ += s->keys.HeapBytes();
 }
 
 SegmentedWindow::InvalidationStats SegmentedWindow::Invalidate(
@@ -84,7 +178,11 @@ SegmentedWindow::InvalidationStats SegmentedWindow::Invalidate(
       --tuple_count_;
       ++stats.tuples_removed;
     }
-    if (!head.tuples.empty()) break;
+    if (!head.tuples.empty()) {
+      // Only the head loses tuples, so only its key map can go stale here.
+      if (stats.tuples_removed > 0) CompactKeys(&head, /*force=*/false);
+      break;
+    }
     // All tuples of the head segment are invalidated: purge its sps too
     // (§V.B.1 step 2).
     ++stats.segments_purged;
@@ -206,7 +304,7 @@ Status SegmentedWindow::ApplyCheckpoint(std::string_view data,
         return Status::Internal("window delta: segment seq out of order");
       }
       segments_.push_back(
-          Segment{std::move(policy), std::move(sps), {}, seq, appended});
+          Segment{std::move(policy), std::move(sps), {}, seq, appended, {}});
       Segment& created = segments_.back();
       for (uint64_t i = 0; i < n_tuples; ++i) {
         SP_ASSIGN_OR_RETURN(Tuple t, storage::GetTuple(data, offset));
@@ -215,6 +313,8 @@ Status SegmentedWindow::ApplyCheckpoint(std::string_view data,
         ++tuple_count_;
       }
       bytes_ += SegmentOverheadBytes(created);
+      // Key maps are derived state, not checkpointed: rebuild.
+      CompactKeys(&created, /*force=*/true);
     } else if (kind == kRecTailAppend) {
       SP_ASSIGN_OR_RETURN(uint64_t appended, GetVarint(data, offset));
       SP_ASSIGN_OR_RETURN(uint64_t n_new, GetVarint(data, offset));
@@ -231,6 +331,9 @@ Status SegmentedWindow::ApplyCheckpoint(std::string_view data,
         bytes_ += tail.tuples.back().MemoryBytes();
         ++tuple_count_;
       }
+      // Tuples that expired before the delta was cut leave a gap in the
+      // positions, so rebuild rather than extend.
+      CompactKeys(&tail, /*force=*/true);
     } else {
       return Status::Internal("window delta: unknown record kind " +
                               std::to_string(kind));

@@ -18,6 +18,62 @@
 
 namespace spstream {
 
+/// \brief Int64 join-key -> position index over one segment's tuples.
+///
+/// Positions are the segment's `appended` coordinate: while resident, the
+/// tuple at position p is `tuples[p - first]` with
+/// `first = appended - tuples.size()`, and head expiry does not move them.
+/// A flat open-addressing table maps each key to the newest position that
+/// holds it, and `prev_` links every indexed position to the previous one
+/// with the same key. Expired positions are skipped lazily: a walk stops at
+/// the first position below `first`. The owning window compacts the map
+/// (Rebuild) once stale positions outnumber the resident tuples.
+class SegmentKeyMap {
+ public:
+  /// \brief Index `key` at position `pos`; positions arrive consecutively.
+  /// A non-int64 key is not indexed but marks the map inexact until that
+  /// position expires.
+  void Add(const Value& key, uint64_t pos);
+
+  /// \brief Drop everything and index `tuples` (positions from `first`)
+  /// by column `key_col`.
+  void Rebuild(const std::deque<Tuple>& tuples, uint64_t first, int key_col);
+
+  /// \brief True when a lookup finds exactly the tuples a scan would: no
+  /// resident tuple has a non-int64 key (a double can equal an int64).
+  bool Exact(uint64_t first) const { return other_end_ <= first; }
+
+  /// \brief Append to `out` the resident positions (>= `first`) holding
+  /// `key`, newest first.
+  void Find(int64_t key, uint64_t first, std::vector<uint64_t>* out) const;
+
+  /// Positions held, resident and stale: the compaction measure.
+  size_t stored_positions() const { return prev_.size(); }
+  size_t HeapBytes() const {
+    return slots_.capacity() * sizeof(Slot) +
+           prev_.capacity() * sizeof(uint64_t);
+  }
+
+ private:
+  struct Slot {
+    int64_t key = 0;
+    uint64_t pos1 = 0;  // newest position + 1; 0 marks an empty slot
+  };
+
+  size_t Home(int64_t key) const {
+    return static_cast<size_t>((static_cast<uint64_t>(key) *
+                                0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  void Resize(size_t capacity);  // power of two
+
+  std::vector<Slot> slots_;
+  size_t used_ = 0;    // occupied slots (distinct keys since the last rebuild)
+  int shift_ = 64;     // 64 - log2(slots_.size())
+  uint64_t base_ = 0;  // position of prev_[0]
+  std::vector<uint64_t> prev_;  // previous position + 1 with the same key
+  uint64_t other_end_ = 0;  // newest non-int64-key position + 1; 0 = none
+};
+
 /// \brief One s-punctuated segment: a policy, the sps that expressed it, and
 /// the run of tuples it governs (chronological, newest at the back).
 struct Segment {
@@ -31,8 +87,12 @@ struct Segment {
   /// the checkpoint cursor counts in this coordinate so expiry between two
   /// checkpoints cannot shift what "new since last delta" means.
   uint64_t appended = 0;
+  /// Join-key index over `tuples`; maintained only when the window was
+  /// asked to (SegmentedWindow::IndexKeys), empty otherwise.
+  SegmentKeyMap keys;
 
-  size_t MemoryBytes() const;
+  /// First resident position in the `appended` coordinate.
+  uint64_t first_position() const { return appended - tuples.size(); }
 };
 
 /// \brief Sliding window over one join input, segment-partitioned.
@@ -45,6 +105,11 @@ class SegmentedWindow {
  public:
   explicit SegmentedWindow(Timestamp window_size)
       : window_size_(window_size) {}
+
+  /// \brief Maintain every segment's SegmentKeyMap on column `key_col`:
+  /// at insert, at expiry (compaction) and at checkpoint restore. Call
+  /// before the first insert or restore.
+  void IndexKeys(int key_col) { key_col_ = key_col; }
 
   /// \brief Append a tuple under `policy`. Starts a new segment when the
   /// policy differs from the tail segment's; `batch_sps` (the sps that
@@ -101,14 +166,22 @@ class SegmentedWindow {
   /// call, which made per-tuple state accounting O(window) and dominated
   /// single-shard join cost. Resident tuples/sps/policies are immutable
   /// while windowed, so add-at-insert / subtract-at-expiry stays exact.
-  /// Callers mutating segments() directly would desync the counter; none
-  /// do (the SPIndex only links to segments).
+  /// Key maps are counted by the byte delta of each map update. Callers
+  /// mutating segments() directly would desync the counter; none do (the
+  /// SPIndex only links to segments).
   size_t MemoryBytes() const { return sizeof(SegmentedWindow) + bytes_; }
 
  private:
-  /// Bytes of a segment minus its tuples (header, policy, sps) — the part
-  /// accounted at segment creation and purge.
+  /// Bytes of a segment minus its tuples (header, policy, sps, key map) —
+  /// the part accounted at segment creation and purge.
   static size_t SegmentOverheadBytes(const Segment& s);
+
+  /// Index the newest tuple of `s` in its key map, compacting when stale
+  /// positions pile up.
+  void IndexNewest(Segment* s);
+  /// Rebuild `s`'s key map when it holds more than 2x resident + slack
+  /// positions (or unconditionally when `force`).
+  void CompactKeys(Segment* s, bool force);
 
   /// Reset the checkpoint cursor to the current tail (or "nothing new"
   /// when the window is empty).
@@ -117,7 +190,8 @@ class SegmentedWindow {
   Timestamp window_size_;
   std::deque<Segment> segments_;
   size_t tuple_count_ = 0;
-  size_t bytes_ = 0;  // contents: segment overheads + resident tuples
+  size_t bytes_ = 0;  // segment overheads + key maps + resident tuples
+  int key_col_ = -1;  // IndexKeys column; -1 = no key maps
 
   uint64_t next_seq_ = 1;  // id of the next segment created
   /// Highest invalidation timestamp seen (the serialized expiry horizon).

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "test_util.h"
 #include "workload/policy_gen.h"
@@ -382,6 +385,263 @@ TEST_F(SaJoinTest, PeakStateIndependentOfBatchSize) {
   const int64_t peak1 = peak_at(1);
   EXPECT_GT(peak1, 0);
   EXPECT_EQ(peak_at(64), peak1);
+}
+
+// ---- Key-hashed probe, state gauge and durable state -----------------------
+
+// An interleaved two-port input: (port, element) in arrival order.
+using PortedInput = std::vector<std::pair<int, StreamElement>>;
+
+enum class Variant { kIndexSkip, kIndexNaive, kNlProbeFilter };
+
+Operator* AddJoin(Pipeline* p, Variant v, SaJoinOptions o) {
+  switch (v) {
+    case Variant::kIndexSkip:
+      o.use_skipping_rule = true;
+      return p->Add<SaJoinIndex>(o);
+    case Variant::kIndexNaive:
+      o.use_skipping_rule = false;
+      return p->Add<SaJoinIndex>(o);
+    case Variant::kNlProbeFilter:
+      o.probe_method = SaJoinOptions::ProbeMethod::kProbeAndFilter;
+      return p->Add<SaJoinNl>(o);
+  }
+  return nullptr;
+}
+
+// Push `input[begin, end)` into `join` one element per batch.
+void Feed(Operator* join, const PortedInput& input, size_t begin,
+          size_t end) {
+  for (size_t i = begin; i < end; ++i) {
+    ElementBatch b;
+    b.push_back(input[i].second);
+    join->PushBatch(std::move(b), input[i].first);
+  }
+}
+
+// Join results as (left tid, right tid, ts) in emission order.
+std::vector<std::tuple<int64_t, int64_t, Timestamp>> Sequence(
+    const std::vector<Tuple>& tuples) {
+  std::vector<std::tuple<int64_t, int64_t, Timestamp>> out;
+  for (const Tuple& t : tuples) {
+    out.emplace_back(t.values[1].int64(), t.values[3].int64(), t.ts);
+  }
+  return out;
+}
+
+// Seeded input with a fresh random policy (1-2 of 4 roles) every few tuples
+// per port, so windows hold several segments that share roles. `key` draws
+// each tuple's join key.
+template <typename KeyFn>
+PortedInput RandomJoinInput(const std::vector<RoleId>& ids, uint64_t seed,
+                            int tuples, KeyFn key) {
+  Rng rng(seed);
+  PortedInput input;
+  Timestamp ts = 1;
+  for (int i = 0; i < tuples; ++i) {
+    const int port = static_cast<int>(rng.Next() % 2);
+    if (rng.Next() % 6 == 0 || i < 2) {
+      std::vector<RoleId> roles = {ids[rng.Next() % 4], ids[rng.Next() % 4]};
+      input.emplace_back(port,
+                         MakeSp(port == 0 ? "s1" : "s2", roles, ts));
+    }
+    ts += static_cast<Timestamp>(rng.Next() % 3);
+    const TupleId tid = static_cast<TupleId>(port * 100000 + i);
+    input.emplace_back(
+        port, Tuple(0, tid, {key(rng), Value(static_cast<int64_t>(tid))}, ts));
+  }
+  return input;
+}
+
+// The gauge covers the index join's SPIndexes: on the same input its state
+// bytes exceed the nested-loop join's, which holds the same windows and
+// trackers and no index. The naive mode keeps no key maps, so its excess
+// is the SPIndexes alone.
+TEST_F(SaJoinTest, IndexJoinStateBytesCountTheSpIndex) {
+  const PortedInput input = RandomJoinInput(ids_, 3, 300, [](Rng& r) {
+    return Value(static_cast<int64_t>(r.Next() % 8));
+  });
+  auto peak = [&](Variant v) {
+    Pipeline pipeline(&ctx_);
+    Operator* join = AddJoin(&pipeline, v, Options(/*window=*/60));
+    auto* sink = pipeline.Add<CollectorSink>();
+    join->AddOutput(sink);
+    Feed(join, input, 0, input.size());
+    EXPECT_GT(sink->Tuples().size(), 0u);
+    return join->metrics().peak_state_bytes;
+  };
+  const int64_t nl = peak(Variant::kNlProbeFilter);
+  EXPECT_GT(peak(Variant::kIndexNaive), nl);
+  EXPECT_GT(peak(Variant::kIndexSkip), peak(Variant::kIndexNaive));
+}
+
+// Checkpoint (full, then an incremental delta) mid-run, restore into a fresh
+// operator, and continue: the output must be exactly the uncrashed run's.
+// The continuation starts with fresh sps because restored trackers are
+// fail-closed until one arrives.
+TEST_F(SaJoinTest, DurableStateRoundTripMatchesUncrashedRun) {
+  PortedInput input = RandomJoinInput(ids_, 11, 400, [](Rng& r) {
+    return Value(static_cast<int64_t>(r.Next() % 6));
+  });
+  // Cut the full checkpoint where each port's last element is a tuple, and
+  // let both ports' next tuples extend those tail segments: the delta then
+  // carries tail appends as well as the new segments that follow.
+  size_t full_at = input.size() * 2 / 5;
+  auto last_is_tuple = [&](int port) {
+    for (size_t i = full_at; i-- > 0;) {
+      if (input[i].first == port) return input[i].second.is_tuple();
+    }
+    return false;
+  };
+  while (!last_is_tuple(0) || !last_is_tuple(1)) ++full_at;
+  const Timestamp cut_ts = input[full_at - 1].second.ts();
+  PortedInput appends;
+  for (int i = 0; i < 6; ++i) {
+    const TupleId tid = static_cast<TupleId>(900000 + i);
+    appends.emplace_back(i % 2, JoinTuple(tid, i / 2, cut_ts));
+  }
+  input.insert(input.begin() + static_cast<std::ptrdiff_t>(full_at),
+               appends.begin(), appends.end());
+  const size_t delta_at = full_at + 40;
+  // Newer than any sp so far: an sp tying an open (not yet applied) batch
+  // would join that batch in the uncrashed run, while the restore drops it.
+  const Timestamp resume_ts = input[delta_at - 1].second.ts() + 1;
+  input.insert(
+      input.begin() + static_cast<std::ptrdiff_t>(delta_at),
+      {{0, StreamElement(MakeSp("s1", {ids_[0], ids_[1]}, resume_ts))},
+       {1, StreamElement(MakeSp("s2", {ids_[1], ids_[2]}, resume_ts))}});
+
+  for (Variant v :
+       {Variant::kIndexSkip, Variant::kIndexNaive, Variant::kNlProbeFilter}) {
+    SCOPED_TRACE(static_cast<int>(v));
+    const SaJoinOptions o = Options(/*window=*/80);
+    Pipeline oracle_pipeline(&ctx_);
+    Operator* oracle = AddJoin(&oracle_pipeline, v, o);
+    auto* oracle_sink = oracle_pipeline.Add<CollectorSink>();
+    oracle->AddOutput(oracle_sink);
+    Feed(oracle, input, 0, input.size());
+
+    Pipeline crashed_pipeline(&ctx_);
+    Operator* crashed = AddJoin(&crashed_pipeline, v, o);
+    auto* crashed_sink = crashed_pipeline.Add<CollectorSink>();
+    crashed->AddOutput(crashed_sink);
+    Feed(crashed, input, 0, full_at);
+    std::string full, delta;
+    crashed->CheckpointState(&full, /*full=*/true);
+    crashed->OnCheckpointDurable();
+    Feed(crashed, input, full_at, delta_at);
+    crashed->CheckpointState(&delta, /*full=*/false);
+    crashed->OnCheckpointDurable();
+    ASSERT_FALSE(delta.empty());
+
+    Pipeline restored_pipeline(&ctx_);
+    Operator* restored = AddJoin(&restored_pipeline, v, o);
+    auto* restored_sink = restored_pipeline.Add<CollectorSink>();
+    restored->AddOutput(restored_sink);
+    ASSERT_TRUE(restored->RestoreState(full).ok());
+    ASSERT_TRUE(restored->RestoreState(delta).ok());
+    restored->OnRestoreComplete();
+    Feed(restored, input, delta_at, input.size());
+
+    auto expected = Sequence(oracle_sink->Tuples());
+    auto got = Sequence(crashed_sink->Tuples());
+    const size_t before_restore = got.size();
+    for (const auto& r : Sequence(restored_sink->Tuples())) got.push_back(r);
+    EXPECT_GT(before_restore, 0u);
+    EXPECT_GT(got.size(), before_restore) << "nothing joined after restore";
+    EXPECT_EQ(got, expected);
+  }
+}
+
+// Key lookup answers exactly what the scan answers, for every key kind: an
+// int64 key must still meet an equal double (cross-kind numeric equality),
+// and strings and nulls go through the scan. The naive mode scans, and its
+// segment visit order is the skipping rule's, so the two index modes must
+// agree as exact sequences; the nested-loop join as a multiset.
+TEST_F(SaJoinTest, KeyLookupMatchesScanAcrossKeyKinds) {
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    SCOPED_TRACE(seed);
+    const PortedInput input =
+        RandomJoinInput(ids_, seed, 600, [&](Rng& r) -> Value {
+          const int64_t k = static_cast<int64_t>(r.Next() % 6);
+          switch (r.Next() % 40) {
+            case 0: return Value(static_cast<double>(k));
+            case 1: return Value(std::to_string(k));
+            case 2: return Value::Null();
+            default: return Value(k);
+          }
+        });
+    auto run = [&](Variant v) {
+      Pipeline pipeline(&ctx_);
+      Operator* join = AddJoin(&pipeline, v, Options(/*window=*/40));
+      auto* sink = pipeline.Add<CollectorSink>();
+      join->AddOutput(sink);
+      Feed(join, input, 0, input.size());
+      return Sequence(sink->Tuples());
+    };
+    const auto lookup = run(Variant::kIndexSkip);
+    const auto scan = run(Variant::kIndexNaive);
+    auto nl = run(Variant::kNlProbeFilter);
+    EXPECT_FALSE(lookup.empty());
+    EXPECT_EQ(lookup, scan);
+    auto sorted = lookup;
+    std::sort(sorted.begin(), sorted.end());
+    std::sort(nl.begin(), nl.end());
+    EXPECT_EQ(sorted, nl);
+  }
+}
+
+// One policy per side for 20 windows: each side's window is one long-lived
+// segment. Its key map must compact stale positions (memory O(resident)),
+// and once both windows drain the state bytes equal those of an operator
+// that only ever saw the draining tuples.
+TEST_F(SaJoinTest, LongLivedSegmentKeyMapStaysBounded) {
+  constexpr Timestamp kWindow = 50;
+  constexpr size_t kSlack = 64;
+  PortedInput head;
+  head.emplace_back(0, MakeSp("s1", {ids_[0]}, 1));
+  head.emplace_back(1, MakeSp("s2", {ids_[0]}, 1));
+  PortedInput body;
+  Rng rng(9);
+  for (Timestamp ts = 1; ts <= 20 * kWindow; ++ts) {
+    for (int port = 0; port < 2; ++port) {
+      const TupleId tid = static_cast<TupleId>(port * 100000 + ts);
+      body.emplace_back(
+          port, JoinTuple(tid, static_cast<int64_t>(rng.Next() % 16), ts));
+    }
+  }
+  // The first drains window 1, the second window 0.
+  PortedInput drain;
+  drain.emplace_back(0, JoinTuple(7, 0, 30 * kWindow));
+  drain.emplace_back(1, JoinTuple(100007, 1, 40 * kWindow));
+
+  Pipeline pipeline(&ctx_);
+  auto* join = pipeline.Add<SaJoinIndex>(Options(kWindow));
+  auto* sink = pipeline.Add<CollectorSink>();
+  join->AddOutput(sink);
+  Feed(join, head, 0, head.size());
+  for (size_t i = 0; i < body.size(); ++i) {
+    Feed(join, body, i, i + 1);
+    for (const SegmentedWindow* w :
+         {&join->left_window(), &join->right_window()}) {
+      ASSERT_LE(w->segment_count(), 1u);
+      for (const Segment& seg : w->segments()) {
+        ASSERT_LE(seg.keys.stored_positions(), 2 * seg.tuples.size() + kSlack)
+            << "at element " << i;
+      }
+    }
+  }
+  EXPECT_GT(sink->Tuples().size(), 0u);
+  Feed(join, drain, 0, drain.size());
+  EXPECT_EQ(join->left_window().MemoryBytes(),
+            SegmentedWindow(kWindow).MemoryBytes());
+
+  Pipeline fresh_pipeline(&ctx_);
+  auto* fresh = fresh_pipeline.Add<SaJoinIndex>(Options(kWindow));
+  fresh->AddOutput(fresh_pipeline.Add<CollectorSink>());
+  Feed(fresh, head, 0, head.size());
+  Feed(fresh, drain, 0, drain.size());
+  EXPECT_EQ(join->metrics().state_bytes, fresh->metrics().state_bytes);
 }
 
 }  // namespace
