@@ -4,7 +4,7 @@
 // A fixed-capacity ring buffer of typed events: policy installs and
 // expirations as sp-batches reach a Security Shield, per-query denial events
 // carrying the responsible sp (batch) timestamp and role predicate, and
-// plan-adaptation swaps. All-time per-kind counters survive wraparound, so
+// re-plans after a role change. All-time per-kind counters survive wraparound, so
 // aggregate assertions ("every security drop has a denial event") hold even
 // after old events are evicted.
 #pragma once
@@ -22,7 +22,8 @@ enum class AuditEventKind : uint8_t {
   kPolicyInstall = 0,  ///< an sp-batch arrived and took effect at a shield
   kPolicyExpire,       ///< a policy was overridden by a newer batch (or stale)
   kDenial,             ///< a tuple (or join result) was denied
-  kPlanAdapt,          ///< the adaptive optimizer swapped a query's plan
+  kPlanAdapt,          ///< a runtime role change re-planned a query, or a
+                       ///< group's sharding fell back to one thread
   kNetEviction,        ///< the stream server evicted a connection
   kQueryQuarantine,    ///< a faulted shard/operator failed the query closed
   kStorage,            ///< durability lifecycle: commit, recovery, rebase

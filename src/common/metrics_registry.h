@@ -5,7 +5,7 @@
 // their operators, so the registry keeps the *latest cumulative* value per
 // (query, operator) — overwritten at each harvest — plus a "retired"
 // accumulator that pipeline generations are folded into when a query's plan
-// is rebuilt (adaptation, role change) or deregistered. A snapshot merges
+// is rebuilt (group reshape, role change) or deregistered. A snapshot merges
 // the two, so per-query totals span the query's whole lifetime.
 //
 // All mutators take one short mutex hold; Snapshot() copies under the lock

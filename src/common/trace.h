@@ -55,7 +55,7 @@ using SpanId = uint64_t;
 
 /// \brief Coarse event category, exported as the Chrome "cat" field.
 enum class TraceCat : uint8_t {
-  kEngine = 0,   ///< Run() epochs, quarantine, plan swaps
+  kEngine = 0,   ///< Run() epochs, quarantine recovery
   kOperator,     ///< per-operator PushBatch spans
   kShard,        ///< hand-off queue waits, epoch barrier
   kNet,          ///< wire encode/decode, client push, result delivery

@@ -226,7 +226,6 @@ void SpStreamEngine::SyncAnalyzerStats() {
 spstream::MetricsSnapshot SpStreamEngine::SnapshotMetrics() {
   SyncAnalyzerStats();
   metrics_.SetGauge("engine.queries", static_cast<int64_t>(queries_.size()));
-  metrics_.SetGauge("engine.adaptations", adaptations_);
   metrics_.SetGauge("engine.queries_quarantined", quarantined_count_);
   metrics_.SetGauge("engine.audit_events", audit_.total());
   metrics_.SetGauge("engine.overload_state",
@@ -329,23 +328,11 @@ Status SpStreamEngine::UpdateSubjectRoles(
   sub_it->second.ReplaceRolesUnchecked(std::move(ids));
 
   // Re-plan every active query of this subject against the new roles.
-  Planner planner(&streams_, &roles_);
   const RoleSet new_roles = RoleSet::FromIds(sub_it->second.roles());
   for (size_t i = 0; i < queries_.size(); ++i) {
     QueryState& qs = queries_[i];
     if (!qs.active || qs.subject != name) continue;
-    LogicalNodePtr plan = ApplySsPlacement(qs.bare_plan, new_roles,
-                                           options_.initial_placement);
-    if (options_.optimize_plans) {
-      std::unordered_map<std::string, SourceStats> stats;
-      for (const std::string& s : qs.source_streams) {
-        stats[s] = options_.default_source_stats;
-      }
-      CostModel model(std::move(stats), options_.cost_options);
-      Optimizer optimizer(&model);
-      plan = optimizer.Optimize(plan);
-    }
-    qs.plan = std::move(plan);
+    qs.plan = PlanQuery(qs.bare_plan, new_roles);
     qs.roles = new_roles;
     // The new shield requires a fresh DAG; continuous state resets
     // (windows refill; the next sps re-install policies).
@@ -383,6 +370,17 @@ Status SpStreamEngine::AddServerPolicy(const std::string& stream_name,
   return it->second.analyzer->AddServerPolicy(std::move(sp));
 }
 
+LogicalNodePtr SpStreamEngine::PlanQuery(const LogicalNodePtr& bare,
+                                         const RoleSet& roles) const {
+  LogicalNodePtr plan =
+      ApplySsPlacement(bare, roles, options_.initial_placement);
+  if (!options_.optimize_plans) return plan;
+  // Every source costs at the default SourceStats (CostModel's fallback).
+  CostModel model({}, CostModelOptions{});
+  Optimizer optimizer(&model);
+  return optimizer.Optimize(plan);
+}
+
 Result<QueryId> SpStreamEngine::RegisterQuery(const std::string& subject,
                                               const std::string& sql) {
   auto sub_it = subjects_.find(subject);
@@ -394,28 +392,14 @@ Result<QueryId> SpStreamEngine::RegisterQuery(const std::string& subject,
   Planner planner(&streams_, &roles_);
   const RoleSet query_roles = RoleSet::FromIds(sub_it->second.roles());
   SP_ASSIGN_OR_RETURN(LogicalNodePtr bare, planner.PlanSelect(stmt, RoleSet()));
-  LogicalNodePtr plan =
-      ApplySsPlacement(bare, query_roles, options_.initial_placement);
-
-  if (options_.optimize_plans) {
-    std::unordered_map<std::string, SourceStats> stats;
-    std::vector<std::string> sources;
-    CollectSourceStreams(plan, &sources);
-    for (const std::string& s : sources) {
-      stats[s] = options_.default_source_stats;
-    }
-    CostModel model(std::move(stats), options_.cost_options);
-    Optimizer optimizer(&model);
-    plan = optimizer.Optimize(plan);
-  }
 
   QueryState qs;
   qs.subject = subject;
   qs.sql = sql;
-  qs.plan = plan;
+  qs.plan = PlanQuery(bare, query_roles);
   qs.roles = query_roles;
   qs.bare_plan = bare;  // shield-free twin: the multi-query sharing key
-  CollectSourceStreams(plan, &qs.source_streams);
+  CollectSourceStreams(qs.plan, &qs.source_streams);
   for (const std::string& s : qs.source_streams) {
     if (!stream_states_.count(s)) {
       return Status::NotFound("query references unknown stream: " + s);
@@ -736,19 +720,9 @@ Status SpStreamEngine::Run() {
       }
     }
   }
-  if (options_.adaptive) {
-    for (auto& [name, state] : stream_states_) {
-      if (!state.pending.empty()) {
-        measured_stats_[name] = CollectStreamStatistics(state.pending);
-      }
-    }
-  }
   for (auto& [name, state] : stream_states_) {
     (void)name;
     state.pending.clear();
-  }
-  if (options_.adaptive) {
-    SP_RETURN_NOT_OK(AdaptPlans());
   }
   SyncAnalyzerStats();
   metrics_.AddCounter("engine.run_epochs");
@@ -767,58 +741,6 @@ Status SpStreamEngine::Run() {
   // this epoch's RESULT frames after the engine lock drops, and those sends
   // belong to this epoch's trace. The next Run() overwrites it.
   return Status::OK();
-}
-
-Status SpStreamEngine::AdaptPlans() {
-  if (measured_stats_.empty()) return Status::OK();
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    QueryState& qs = queries_[i];
-    if (!qs.active) continue;
-    // Cost model fed by the latest measurements of this query's sources.
-    CostModelOptions mopts = options_.cost_options;
-    std::unordered_map<std::string, SourceStats> src_stats;
-    bool any_measured = false;
-    for (const std::string& s : qs.source_streams) {
-      auto it = measured_stats_.find(s);
-      if (it == measured_stats_.end()) {
-        src_stats[s] = options_.default_source_stats;
-      } else {
-        src_stats[s] = it->second.ToSourceStats();
-        it->second.ApplyTo(&mopts);
-        any_measured = true;
-      }
-    }
-    if (!any_measured) continue;
-    LogicalNodePtr fresh = ApplySsPlacement(qs.bare_plan, qs.roles,
-                                            options_.initial_placement);
-    CostModel model(std::move(src_stats), mopts);
-    Optimizer optimizer(&model);
-    LogicalNodePtr adapted = optimizer.Optimize(fresh);
-    if (!PlansEqual(adapted, qs.plan)) {
-      qs.plan = std::move(adapted);
-      // Only a group of one compiles qs.plan; a larger group compiles the
-      // shared bare plan, so its DAG (and state) is unaffected.
-      QueryGroup* g = GroupOf(i);
-      if (g->members.size() == 1) ResetGroup(g, /*reshaped=*/true);
-      ++adaptations_;
-      metrics_.AddCounter("engine.plan_adaptations");
-      if (options_.enable_audit) {
-        AuditEvent e;
-        e.kind = AuditEventKind::kPlanAdapt;
-        e.scope = QueryTag(&qs);
-        e.roles = qs.roles.ToString(roles_);
-        e.detail = "plan re-optimized against measured stream statistics";
-        audit_.Append(std::move(e));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-const StreamStatistics* SpStreamEngine::measured_stats(
-    const std::string& stream) const {
-  auto it = measured_stats_.find(stream);
-  return it == measured_stats_.end() ? nullptr : &it->second;
 }
 
 Status SpStreamEngine::CompileGroup(QueryGroup* g) {

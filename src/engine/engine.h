@@ -24,7 +24,6 @@
 #include "exec/plan_builder.h"
 #include "exec/shard_router.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/statistics.h"
 #include "query/parser.h"
 #include "query/planner.h"
 #include "storage/durability.h"
@@ -51,17 +50,7 @@ struct EngineOptions {
   bool share_plans = false;
   /// Physical compilation knobs (join implementation, skipping rule, ...).
   PhysicalPlanOptions physical;
-  /// Cost-model configuration used when optimize_plans is set.
-  CostModelOptions cost_options;
-  /// Default per-source statistics assumed for cost estimation.
-  SourceStats default_source_stats;
-  /// CAPE-style runtime adaptivity: measure each epoch's streams
-  /// (rates, roles-per-sp, per-role match fractions) and re-optimize
-  /// registered plans against the measured numbers. A query whose optimal
-  /// shape changes gets its group's DAG rebuilt (continuous state resets —
-  /// windows refill, the next sps re-install policies).
-  bool adaptive = false;
-  /// Security audit log (policy installs/expirations, denials, plan swaps).
+  /// Security audit log (policy installs/expirations, denials, re-plans).
   /// Disabling skips all audit-event rendering on the hot path.
   bool enable_audit = true;
   /// Ring-buffer capacity of the audit log (all-time per-kind counters
@@ -240,11 +229,6 @@ class SpStreamEngine {
   Result<bool> IsQuarantined(QueryId id) const;
   /// \brief Queries quarantined so far (gauge engine.queries_quarantined).
   int64_t quarantined_count() const { return quarantined_count_; }
-  /// \brief Number of plan swaps the adaptive mode has performed.
-  int64_t adaptations() const { return adaptations_; }
-  /// \brief Latest measured statistics of a stream (adaptive mode), or
-  /// nullptr before its first epoch.
-  const StreamStatistics* measured_stats(const std::string& stream) const;
 
   // ---- durability (docs/DURABILITY.md) ----------------------------------
   /// \brief Epochs committed durably (recovered + this process). 0 when
@@ -386,8 +370,11 @@ class SpStreamEngine {
   /// the highest across all active queries, for the priority shed policy).
   int StreamPriority(const std::string& stream_name) const;
   int TopPriority() const;
-  /// Adaptive mode: re-optimize plans against measured statistics.
-  Status AdaptPlans();
+  /// The query plan for `bare` under `roles`: place the SS, then (with
+  /// optimize_plans) optimize against the default cost model. A plan is
+  /// fixed at registration; only a role change re-plans it.
+  LogicalNodePtr PlanQuery(const LogicalNodePtr& bare,
+                           const RoleSet& roles) const;
 
   /// Registry key of a query ("q<id>").
   std::string QueryTag(const QueryState* qs) const;
@@ -429,8 +416,6 @@ class SpStreamEngine {
   /// Query groups of the active queries, in leader-index order (the order
   /// Run() executes them).
   std::vector<QueryGroup> groups_;
-  std::unordered_map<std::string, StreamStatistics> measured_stats_;
-  int64_t adaptations_ = 0;
   int64_t quarantined_count_ = 0;
   /// Run() epochs completed — seeds the per-epoch trace id (EpochTraceId).
   int64_t run_epoch_seq_ = 0;

@@ -52,21 +52,7 @@ OverloadOptions OverloadOptions::FromEnv(OverloadOptions base) {
   base.pending_low_watermark = static_cast<size_t>(
       EnvInt("SPSTREAM_PENDING_LOW",
              static_cast<int64_t>(base.pending_low_watermark)));
-  base.queue_high_watermark = static_cast<size_t>(
-      EnvInt("SPSTREAM_QUEUE_HIGH",
-             static_cast<int64_t>(base.queue_high_watermark)));
   base.shed_fraction = EnvDouble("SPSTREAM_SHED_FRACTION", base.shed_fraction);
-  if (const char* p = std::getenv("SPSTREAM_SHED_POLICY")) {
-    base.shed_policy = (std::string(p) == "priority") ? ShedPolicy::kPriority
-                                                      : ShedPolicy::kRandom;
-  }
-  base.max_recovery_attempts = static_cast<int>(
-      EnvInt("SPSTREAM_MAX_RECOVERY_ATTEMPTS", base.max_recovery_attempts));
-  base.recovery_backoff_base_ms =
-      EnvInt("SPSTREAM_RECOVERY_BACKOFF_MS", base.recovery_backoff_base_ms);
-  base.watchdog = EnvFlag("SPSTREAM_WATCHDOG", base.watchdog);
-  base.wedge_timeout_ms =
-      EnvInt("SPSTREAM_WEDGE_TIMEOUT_MS", base.wedge_timeout_ms);
   return base;
 }
 

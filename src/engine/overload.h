@@ -30,11 +30,9 @@
 //    `max_recovery_attempts`.
 //
 // Environment overrides (read by OverloadOptions::FromEnv; see
-// docs/ROBUSTNESS.md for the full table): SPSTREAM_OVERLOAD_SHED,
-// SPSTREAM_PENDING_HIGH, SPSTREAM_PENDING_LOW, SPSTREAM_QUEUE_HIGH,
-// SPSTREAM_EPOCH_DEADLINE_MS, SPSTREAM_SHED_POLICY, SPSTREAM_SHED_FRACTION,
-// SPSTREAM_MAX_RECOVERY_ATTEMPTS, SPSTREAM_RECOVERY_BACKOFF_MS,
-// SPSTREAM_WATCHDOG, SPSTREAM_WEDGE_TIMEOUT_MS.
+// docs/ROBUSTNESS.md): SPSTREAM_OVERLOAD_SHED, SPSTREAM_PENDING_HIGH,
+// SPSTREAM_PENDING_LOW, SPSTREAM_SHED_FRACTION. Every other knob is set
+// through EngineOptions::overload only.
 #pragma once
 
 #include <atomic>

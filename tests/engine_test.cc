@@ -199,7 +199,29 @@ TEST_F(EngineTest, RuntimeRoleChangeReplansQueries) {
   EXPECT_EQ(engine_->Results(*q)->size(), 1u);
 
   // §IX extension: dr_house loses GP, becomes ND at runtime.
+  const RoleId gp = engine_->roles()->Lookup("GP").value();
+  const RoleId nd = engine_->roles()->Lookup("ND").value();
+  const std::string gp_shield = "SS[" + RoleSet::Of(gp).ToString() + "]";
+  const std::string nd_shield = "SS[" + RoleSet::Of(nd).ToString() + "]";
+  auto before = engine_->ExplainQuery(*q);
+  ASSERT_TRUE(before.ok());
+  EXPECT_NE(before->find(gp_shield), std::string::npos) << *before;
   ASSERT_TRUE(engine_->UpdateSubjectRoles("dr_house", {"ND"}).ok());
+
+  // The role change re-planned the query once, audited as kPlanAdapt, and
+  // the shield now carries the new role.
+  std::vector<AuditEvent> replans;
+  for (const AuditEvent& e : engine_->audit()->Tail(
+           engine_->audit()->capacity())) {
+    if (e.kind == AuditEventKind::kPlanAdapt) replans.push_back(e);
+  }
+  ASSERT_EQ(replans.size(), 1u);
+  EXPECT_EQ(replans[0].scope, "q" + std::to_string(*q));
+  EXPECT_EQ(replans[0].roles, "{ND}");
+  auto after = engine_->ExplainQuery(*q);
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(after->find(nd_shield), std::string::npos) << *after;
+  EXPECT_EQ(after->find(gp_shield), std::string::npos) << *after;
 
   // Epoch 2: same GP-only policy; the re-planned shield now denies.
   ASSERT_TRUE(engine_

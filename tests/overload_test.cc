@@ -21,8 +21,10 @@
 
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -251,6 +253,45 @@ TEST_F(OverloadTest, EpochDeadlineMissDrivesShedding) {
             installs_before)
       << "the sp pushed during kShed must still install";
   EXPECT_GE(engine->audit()->CountOf(AuditEventKind::kShed), 1);
+}
+
+// ---- environment overrides -------------------------------------------------
+
+// The four SPSTREAM_* overrides CI's overload-chaos leg forces. Each is set,
+// checked to land in its field, and restored (unset when it was unset)
+// before the test returns, so later tests see the caller's environment.
+TEST_F(OverloadTest, FromEnvAppliesEachOverride) {
+  const std::map<std::string, std::string> env = {
+      {"SPSTREAM_OVERLOAD_SHED", "1"},
+      {"SPSTREAM_PENDING_HIGH", "64"},
+      {"SPSTREAM_PENDING_LOW", "16"},
+      {"SPSTREAM_SHED_FRACTION", "0.25"},
+  };
+  std::map<std::string, std::optional<std::string>> saved;
+  for (const auto& [name, value] : env) {
+    const char* old = std::getenv(name.c_str());
+    saved[name] = old ? std::optional<std::string>(old) : std::nullopt;
+    ASSERT_EQ(setenv(name.c_str(), value.c_str(), /*overwrite=*/1), 0);
+  }
+  const OverloadOptions base;
+  const OverloadOptions got = OverloadOptions::FromEnv(base);
+  for (const auto& [name, old] : saved) {
+    if (old) {
+      setenv(name.c_str(), old->c_str(), 1);
+    } else {
+      unsetenv(name.c_str());
+    }
+  }
+  EXPECT_FALSE(base.enable_shedding);
+  EXPECT_TRUE(got.enable_shedding);
+  EXPECT_EQ(got.pending_high_watermark, 64u);
+  EXPECT_EQ(got.pending_low_watermark, 16u);
+  EXPECT_DOUBLE_EQ(got.shed_fraction, 0.25);
+  // Fields without an override keep the caller's value.
+  EXPECT_EQ(got.queue_high_watermark, base.queue_high_watermark);
+  EXPECT_EQ(got.shed_policy, base.shed_policy);
+  EXPECT_EQ(got.max_recovery_attempts, base.max_recovery_attempts);
+  EXPECT_EQ(got.watchdog, base.watchdog);
 }
 
 // ---- priority shed policy --------------------------------------------------

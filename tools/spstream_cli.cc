@@ -397,7 +397,7 @@ class Shell {
               << log->CountOf(AuditEventKind::kPolicyInstall) << " installs, "
               << log->CountOf(AuditEventKind::kPolicyExpire) << " expires, "
               << log->CountOf(AuditEventKind::kDenial) << " denials, "
-              << log->CountOf(AuditEventKind::kPlanAdapt) << " adaptations)\n";
+              << log->CountOf(AuditEventKind::kPlanAdapt) << " re-plans)\n";
     for (const AuditEvent& e : log->Tail(n)) {
       std::cout << "  " << e.ToString() << "\n";
     }
