@@ -17,6 +17,7 @@ const char* AuditEventKindName(AuditEventKind kind) {
     case AuditEventKind::kStorage: return "storage";
     case AuditEventKind::kShed: return "shed";
     case AuditEventKind::kRecovery: return "recovery";
+    case AuditEventKind::kShardFallback: return "shard_fallback";
   }
   return "unknown";
 }

@@ -22,15 +22,16 @@ enum class AuditEventKind : uint8_t {
   kPolicyInstall = 0,  ///< an sp-batch arrived and took effect at a shield
   kPolicyExpire,       ///< a policy was overridden by a newer batch (or stale)
   kDenial,             ///< a tuple (or join result) was denied
-  kPlanAdapt,          ///< a runtime role change re-planned a query, or a
-                       ///< group's sharding fell back to one thread
+  kPlanAdapt,          ///< a runtime role change re-planned a query
   kNetEviction,        ///< the stream server evicted a connection
   kQueryQuarantine,    ///< a faulted shard/operator failed the query closed
   kStorage,            ///< durability lifecycle: commit, recovery, rebase
   kShed,               ///< overload control dropped data tuples at admission
   kRecovery,           ///< watchdog retried (or gave up on) a quarantine
+  kShardFallback,      ///< a group's plan cannot be partitioned and runs on
+                       ///< one pipeline despite num_shards > 1
 };
-constexpr int kNumAuditEventKinds = 9;
+constexpr int kNumAuditEventKinds = 10;
 
 const char* AuditEventKindName(AuditEventKind kind);
 

@@ -237,6 +237,8 @@ spstream::MetricsSnapshot SpStreamEngine::SnapshotMetrics() {
   if (shard_manager_) {
     metrics_.SetGauge("engine.shards",
                       static_cast<int64_t>(shard_manager_->num_shards()));
+    metrics_.SetGauge("engine.shard_workers",
+                      static_cast<int64_t>(shard_manager_->num_workers()));
     for (size_t i = 0; i < shard_manager_->num_shards(); ++i) {
       const ShardManager::ShardStats s = shard_manager_->Stats(i);
       const std::string prefix = "engine.shard" + std::to_string(i) + ".";
@@ -590,7 +592,7 @@ Result<std::string> SpStreamEngine::ExplainQuery(QueryId id,
       os << " col" << key.key_col;
     }
   }
-  os << ")\n";
+  os << ") workers: " << shard_manager_->num_workers() << "\n";
   for (size_t s = 0; s < g->pipelines.size(); ++s) {
     const StreamingPhysicalPlan& physical = g->physicals[s];
     int64_t tuples_in = 0, sps_in = 0, installs = 0;
@@ -605,12 +607,9 @@ Result<std::string> SpStreamEngine::ExplainQuery(QueryId id,
     os << "  shard " << s << ": tuples=" << tuples_in << " sps=" << sps_in
        << " results=" << physical.sinks[member]->metrics().tuples_in
        << " policy_installs=" << installs;
-    if (shard_manager_) {
-      const ShardManager::ShardStats st = shard_manager_->Stats(s);
-      os << " queue_depth=" << st.queue_depth
-         << " queue_peak=" << st.queue_peak;
-    }
-    os << "\n";
+    const ShardManager::ShardStats st = shard_manager_->Stats(s);
+    os << " queue_depth=" << st.queue_depth << " queue_peak=" << st.queue_peak
+       << "\n";
   }
   out += os.str();
   return out;
@@ -795,7 +794,7 @@ Status SpStreamEngine::CompileGroup(QueryGroup* g) {
     physicals.resize(1);
   }
   if (!fallback.empty()) {
-    AuditGroup(*g, AuditEventKind::kPlanAdapt,
+    AuditGroup(*g, AuditEventKind::kShardFallback,
                "sharding fallback to single-threaded: " + fallback);
   }
   g->roots = std::move(roots);

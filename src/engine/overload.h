@@ -161,7 +161,7 @@ class OverloadController {
 /// \brief One shard's progress sample, fed to the watchdog by the engine.
 struct ShardProgressSample {
   int64_t progress = 0;     ///< monotone work counter (tuples+sps+epochs)
-  size_t queue_depth = 0;   ///< elements waiting in the hand-off queue
+  size_t queue_depth = 0;   ///< tasks queued or being fed (0 = idle)
 };
 
 /// \brief Background observer of shard liveness. Strictly read-only with

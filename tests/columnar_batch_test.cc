@@ -95,7 +95,9 @@ TEST(ColumnVectorTest, SetNullMasksWithoutDisturbingNeighbors) {
     const bool masked = r == 0 || r == 64 || r == 129;
     EXPECT_EQ(col.IsValid(r), !masked) << "row " << r;
     EXPECT_EQ(col.ValueAt(r).is_null(), masked) << "row " << r;
-    if (!masked) EXPECT_EQ(col.ValueAt(r).int64(), static_cast<int64_t>(r));
+    if (!masked) {
+      EXPECT_EQ(col.ValueAt(r).int64(), static_cast<int64_t>(r));
+    }
   }
 }
 

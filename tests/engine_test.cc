@@ -384,5 +384,43 @@ TEST_F(EngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(engine_->Results(42).ok());
 }
 
+// A plan the shard router cannot partition runs on one pipeline; the
+// fallback is audited under its own kind, not as a re-plan.
+TEST(EngineShardFallbackTest, NonShardablePlanAuditsOneShardFallback) {
+  EngineOptions opts;
+  opts.num_shards = 2;
+  SpStreamEngine engine(std::move(opts));
+  engine.RegisterRole("R0");
+  ASSERT_TRUE(engine
+                  .RegisterStream(MakeSchema(
+                      "A", {Field{"k", ValueType::kInt64},
+                            Field{"v", ValueType::kInt64}}))
+                  .ok());
+  ASSERT_TRUE(engine
+                  .RegisterStream(MakeSchema(
+                      "B", {Field{"k", ValueType::kInt64}}))
+                  .ok());
+  ASSERT_TRUE(engine.RegisterSubject("alice", {"R0"}).ok());
+  // DISTINCT on A.v needs a partition on v; the join needs one on k.
+  auto q = engine.RegisterQuery(
+      "alice",
+      "SELECT DISTINCT A.v FROM A [RANGE 64], B [RANGE 64] WHERE A.k = B.k");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    ASSERT_TRUE(engine.Run().ok());
+  }
+
+  std::vector<AuditEvent> fallbacks;
+  for (const AuditEvent& e : engine.audit()->Tail(engine.audit()->capacity())) {
+    if (e.kind == AuditEventKind::kShardFallback) fallbacks.push_back(e);
+  }
+  ASSERT_EQ(fallbacks.size(), 1u);
+  EXPECT_EQ(fallbacks[0].scope, "q" + std::to_string(*q));
+  EXPECT_EQ(std::string(AuditEventKindName(fallbacks[0].kind)),
+            "shard_fallback");
+  EXPECT_EQ(engine.audit()->CountOf(AuditEventKind::kShardFallback), 1);
+  EXPECT_EQ(engine.audit()->CountOf(AuditEventKind::kPlanAdapt), 0);
+}
+
 }  // namespace
 }  // namespace spstream

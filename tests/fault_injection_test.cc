@@ -447,11 +447,47 @@ TEST_F(FaultInjectorTest, QueuePushFaultsNeverHangTheEpochBarrier) {
   spec.probability = 1.0;  // EVERY routed batch is dropped
   ScopedFault armed(fault::kShardQueuePush, spec);
   ASSERT_TRUE(engine->Push("A", Segment(1, 0, 32)).ok());
-  // The real assertion is liveness: Run() completes (barrier markers are
-  // re-pushed even when the data batch is dropped) instead of deadlocking.
+  // The real assertion is liveness: Run() completes (barrier markers never
+  // pass the fault site, so only data batches are dropped) instead of
+  // deadlocking.
   ASSERT_TRUE(engine->Run().ok());
   EXPECT_TRUE(*engine->IsQuarantined(qid));
   EXPECT_EQ(engine->Results(qid)->size(), 0u);
+}
+
+// Without worker threads (one usable CPU) the engine thread feeds every
+// shard, and both shard fault sites keep their fail-closed behaviour: the
+// routing fault fires in RouteBatch, the operator fault inside the task.
+void ExpectOneCpuFaultQuarantines(const char* site, FaultSpec spec) {
+  QueryId qid;
+  std::unique_ptr<SpStreamEngine> engine;
+  {
+    sptest::ScopedSingleCpu pin;
+    ASSERT_TRUE(pin.pinned());
+    engine = SmallEngine(/*num_shards=*/2, &qid);
+  }
+  EXPECT_EQ(engine->SnapshotMetrics().gauges.at("engine.shard_workers"), 0);
+  {
+    ScopedFault armed(site, spec);
+    ASSERT_TRUE(engine->Push("A", Segment(1, 0, 40)).ok());
+    ASSERT_TRUE(engine->Run().ok());  // fault degrades, never errors
+  }
+  EXPECT_TRUE(*engine->IsQuarantined(qid)) << site;
+  EXPECT_EQ(engine->Results(qid)->size(), 0u) << site;
+  EXPECT_EQ(engine->quarantined_count(), 1);
+  EXPECT_EQ(engine->audit()->CountOf(AuditEventKind::kQueryQuarantine), 1);
+}
+
+TEST_F(FaultInjectorTest, QueuePushFaultQuarantinesOnOneCpu) {
+  FaultSpec spec;
+  spec.trigger_on_hit = 1;
+  ExpectOneCpuFaultQuarantines(fault::kShardQueuePush, spec);
+}
+
+TEST_F(FaultInjectorTest, OperatorProcessFaultQuarantinesOnOneCpu) {
+  FaultSpec spec;
+  spec.trigger_on_hit = 5;  // mid-batch
+  ExpectOneCpuFaultQuarantines(fault::kOperatorProcess, spec);
 }
 
 TEST_F(FaultInjectorTest, HealthyQueriesKeepRunningNextToAQuarantinedOne) {

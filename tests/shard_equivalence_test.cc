@@ -14,6 +14,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -74,6 +75,17 @@ class WorkloadDriver {
       CompareResults(e);
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+
+  bool HasJoin() const {
+    for (const std::string& sql : query_sql_) {
+      if (sql.find("A.k = B.k") != std::string::npos) return true;
+    }
+    return false;
+  }
+
+  int64_t ShardWorkers() {
+    return sharded_->SnapshotMetrics().gauges.at("engine.shard_workers");
   }
 
  private:
@@ -203,6 +215,33 @@ TEST_P(ShardEquivalenceTest, RandomWorkloadMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 51));
 
+// The same oracle with the sharded engine built pinned to one CPU: no
+// worker thread starts and the engine thread feeds every clone. The seeds
+// are the 15 join-bearing ones among the 50 above.
+class OneCpuShardEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(OneCpuShardEquivalenceTest, JoinWorkloadMatchesOracle) {
+  const uint64_t seed = GetParam();
+  const size_t num_shards = 2 + seed % 3;
+  std::unique_ptr<WorkloadDriver> driver;
+  {
+    sptest::ScopedSingleCpu pin;
+    ASSERT_TRUE(pin.pinned());
+    driver = std::make_unique<WorkloadDriver>(seed, num_shards);
+  }
+  ASSERT_EQ(driver->ShardWorkers(), 0);
+  driver->RegisterQueries();
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(driver->HasJoin()) << "seed " << seed << " has no join";
+  driver->RunEpochs();
+}
+
+INSTANTIATE_TEST_SUITE_P(JoinSeeds, OneCpuShardEquivalenceTest,
+                         ::testing::Values<uint64_t>(4, 8, 9, 16, 18, 23, 24,
+                                                     25, 26, 29, 30, 41, 42,
+                                                     43, 49));
+
 // -- Targeted (non-random) coverage -----------------------------------------
 
 TEST(ShardRoutingTest, SimpleScanPartitionsByTupleId) {
@@ -287,6 +326,7 @@ TEST(ShardedEngineTest, ExplainAnalyzeShowsPerShardRows) {
   auto explain = engine.ExplainQuery(*q, /*analyze=*/true);
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain->find("shards: 4"), std::string::npos) << *explain;
+  EXPECT_NE(explain->find("workers: "), std::string::npos) << *explain;
   EXPECT_NE(explain->find("shard 0:"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("shard 3:"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("policy_installs"), std::string::npos) << *explain;
@@ -296,6 +336,42 @@ TEST(ShardedEngineTest, ExplainAnalyzeShowsPerShardRows) {
   EXPECT_NE(metrics.find("q0.shard0"), std::string::npos);
   EXPECT_NE(metrics.find("engine.shard0.tuples_processed"),
             std::string::npos);
+}
+
+// engine.shard_workers is 0 when the engine was built on one CPU (the
+// engine thread feeds every shard) and one per shard otherwise.
+TEST(ShardedEngineTest, ShardWorkersGaugeFollowsUsableCpus) {
+  auto workers_of = [](bool one_cpu) {
+    std::optional<sptest::ScopedSingleCpu> pin;
+    if (one_cpu) pin.emplace();
+    EngineOptions opts;
+    opts.num_shards = 3;
+    SpStreamEngine engine(std::move(opts));
+    engine.RegisterRole("R0");
+    EXPECT_TRUE(engine
+                    .RegisterStream(MakeSchema(
+                        "A", {Field{"k", ValueType::kInt64}}))
+                    .ok());
+    EXPECT_TRUE(engine.RegisterSubject("alice", {"R0"}).ok());
+    auto q = engine.RegisterQuery("alice", "SELECT k FROM A");
+    EXPECT_TRUE(q.ok());
+    if (!q.ok()) return int64_t{-1};
+    EXPECT_TRUE(engine.Run().ok());
+    auto explain = engine.ExplainQuery(*q, /*analyze=*/true);
+    EXPECT_TRUE(explain.ok());
+    if (!explain.ok()) return int64_t{-1};
+    const int64_t gauge =
+        engine.SnapshotMetrics().gauges.at("engine.shard_workers");
+    EXPECT_NE(explain->find("workers: " + std::to_string(gauge)),
+              std::string::npos)
+        << *explain;
+    return gauge;
+  };
+  EXPECT_EQ(workers_of(/*one_cpu=*/true), 0);
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(workers_of(/*one_cpu=*/false), CPU_COUNT(&set) >= 2 ? 3 : 0);
 }
 
 TEST(ShardedEngineTest, ShardedResultsSurviveRoleChurnRebuild) {

@@ -12,14 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "engine/overload.h"
 #include "engine/shard_manager.h"
 #include "stream/element_queue.h"
 #include "test_util.h"
@@ -44,10 +48,14 @@ TEST(BoundedQueueStress, MultiProducerIntegrity) {
           ASSERT_TRUE(queue.Push(v).ok());
         } else {
           batch.push_back(v);
-          if (batch.size() >= 16) ASSERT_TRUE(queue.PushBatch(&batch).ok());
+          if (batch.size() >= 16) {
+            ASSERT_TRUE(queue.PushBatch(&batch).ok());
+          }
         }
       }
-      if (!batch.empty()) ASSERT_TRUE(queue.PushBatch(&batch).ok());
+      if (!batch.empty()) {
+        ASSERT_TRUE(queue.PushBatch(&batch).ok());
+      }
     });
   }
 
@@ -138,7 +146,10 @@ TEST(BoundedQueueStress, PushAfterCloseReturnsCancelled) {
 
 // ---- ShardManager ------------------------------------------------------
 
-TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpoch) {
+// Routes 50 epochs through 4 shards and checks the barrier after each. With
+// `one_cpu` the manager is built pinned to one CPU, so it starts no worker
+// and the calling thread feeds every shard.
+void CheckBarrierDrainsEveryShard(bool one_cpu) {
   RoleCatalog roles;
   StreamCatalog streams;
   MetricsRegistry metrics;
@@ -158,7 +169,12 @@ TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpoch) {
     pipelines.push_back(std::move(p));
   }
 
-  ShardManager manager(kShards, /*queue_capacity=*/32, /*route_batch=*/8);
+  std::optional<sptest::ScopedSingleCpu> pin;
+  if (one_cpu) pin.emplace();
+  ShardManager manager(kShards, /*queue_capacity=*/32);
+  if (one_cpu) {
+    ASSERT_EQ(manager.num_workers(), 0u);
+  }
   constexpr size_t kEpochs = 50;
   constexpr size_t kPerShardPerEpoch = 500;
   for (size_t e = 0; e < kEpochs; ++e) {
@@ -185,10 +201,131 @@ TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpoch) {
               static_cast<int64_t>(kEpochs * kPerShardPerEpoch));
     EXPECT_EQ(stats.epochs, static_cast<int64_t>(kEpochs));
     EXPECT_EQ(stats.queue_depth, 0u);
-    EXPECT_GE(stats.queue_peak, 1u);
+    // Only a worker has a hand-off queue; the engine thread feeds at once.
+    if (manager.num_workers() > 0) {
+      EXPECT_GE(stats.queue_peak, 1u);
+    } else {
+      EXPECT_EQ(stats.queue_peak, 0u);
+    }
   }
   manager.Stop();
   manager.Stop();  // idempotent
+}
+
+TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpoch) {
+  CheckBarrierDrainsEveryShard(/*one_cpu=*/false);
+}
+
+TEST(ShardManagerStress, BarrierDrainsEveryShardEachEpochOnOneCpu) {
+  CheckBarrierDrainsEveryShard(/*one_cpu=*/true);
+}
+
+// Forwards every element, calling `on_element` first — a hook into the
+// middle of a shard's task.
+class ProbeOp : public Operator {
+ public:
+  explicit ProbeOp(ExecContext* ctx) : Operator(ctx, "probe") {}
+  std::function<void()> on_element;
+
+ protected:
+  void Process(StreamElement&& elem, int) override {
+    if (on_element) on_element();
+    Emit(std::move(elem));
+  }
+};
+
+// queue_depth counts the task being fed, so the Watchdog (which reads 0 as
+// idle) can see a shard that is stuck inside a task. Without workers the
+// engine thread runs the task inside RouteBatch and the depth is exactly 1.
+TEST(ShardManagerStress, QueueDepthCountsTheTaskBeingFed) {
+  for (const bool one_cpu : {false, true}) {
+    RoleCatalog roles;
+    StreamCatalog streams;
+    MetricsRegistry metrics;
+    ExecContext ctx{&roles, &streams, &metrics, nullptr};
+    Pipeline pipeline(&ctx);
+    auto* src = pipeline.Add<PushSource>();
+    auto* probe = pipeline.Add<ProbeOp>();
+    auto* sink = pipeline.Add<CollectorSink>();
+    src->AddOutput(probe);
+    probe->AddOutput(sink);
+
+    std::optional<sptest::ScopedSingleCpu> pin;
+    if (one_cpu) pin.emplace();
+    ShardManager manager(/*num_shards=*/2);
+    if (one_cpu) {
+      ASSERT_EQ(manager.num_workers(), 0u);
+    }
+    std::atomic<size_t> depth_inside{0};
+    probe->on_element = [&] {
+      depth_inside.store(manager.Stats(1).queue_depth);
+    };
+    manager.RouteBatch(1, src,
+                       ElementBatch({StreamElement(sptest::MakeTuple(
+                           0, {1}, /*ts=*/1))}));
+    if (manager.num_workers() == 0) {
+      // Fed before RouteBatch returned, on this thread.
+      EXPECT_EQ(sink->Tuples().size(), 1u);
+      EXPECT_EQ(depth_inside.load(), 1u);
+    }
+    manager.CompleteEpoch();
+    EXPECT_GE(depth_inside.load(), 1u) << "one_cpu=" << one_cpu;
+    EXPECT_EQ(manager.Stats(1).queue_depth, 0u);
+    EXPECT_EQ(manager.Stats(1).tuples_processed, 1);
+    EXPECT_EQ(sink->Tuples().size(), 1u);
+    manager.Stop();
+  }
+}
+
+// A shard wedged inside a task on the engine thread still shows work
+// pending and no progress, so the Watchdog thread flags it.
+TEST(ShardManagerStress, WatchdogFlagsAShardWedgedOnTheEngineThread) {
+  RoleCatalog roles;
+  StreamCatalog streams;
+  MetricsRegistry metrics;
+  ExecContext ctx{&roles, &streams, &metrics, nullptr};
+  Pipeline pipeline(&ctx);
+  auto* src = pipeline.Add<PushSource>();
+  auto* probe = pipeline.Add<ProbeOp>();
+  src->AddOutput(probe);
+
+  sptest::ScopedSingleCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  ShardManager manager(/*num_shards=*/2);
+  ASSERT_EQ(manager.num_workers(), 0u);
+  OverloadOptions wopts;
+  wopts.watchdog_poll_ms = 5;
+  wopts.wedge_timeout_ms = 20;
+  Watchdog watchdog(
+      wopts,
+      [&] {
+        std::vector<ShardProgressSample> out;
+        for (size_t i = 0; i < manager.num_shards(); ++i) {
+          const ShardManager::ShardStats s = manager.Stats(i);
+          out.push_back({s.tuples_processed + s.sps_processed + s.epochs,
+                         s.queue_depth});
+        }
+        return out;
+      },
+      &metrics);
+  watchdog.Start();
+  // The "wedge": the task does not return until the watchdog has flagged
+  // it (bounded, so a regression fails instead of hanging).
+  probe->on_element = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (watchdog.wedges_detected() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  manager.RouteBatch(0, src,
+                     ElementBatch({StreamElement(sptest::MakeTuple(
+                         0, {1}, /*ts=*/1))}));
+  EXPECT_EQ(watchdog.wedges_detected(), 1);
+  watchdog.Stop();
+  manager.CompleteEpoch();
+  manager.Stop();
 }
 
 TEST(ShardManagerStress, WorkerHandsColumnarBatchesOverWithoutDecay) {
@@ -324,6 +461,18 @@ TEST(ShardStressTest, ShardedRunsAreDeterministic) {
   const std::vector<std::string> run2 =
       RunShardedWorkload(/*seed=*/21, /*num_shards=*/3, /*queue_capacity=*/8);
   EXPECT_EQ(run1, run2);
+}
+
+TEST(ShardStressTest, OneCpuRunMatchesThreadedSequence) {
+  // The thread that feeds a clone changes nothing downstream: without
+  // workers the merged sequence is the same element for element.
+  const std::vector<std::string> threaded =
+      RunShardedWorkload(/*seed=*/21, /*num_shards=*/3, /*queue_capacity=*/64);
+  sptest::ScopedSingleCpu pin;
+  ASSERT_TRUE(pin.pinned());
+  const std::vector<std::string> inline_fed =
+      RunShardedWorkload(/*seed=*/21, /*num_shards=*/3, /*queue_capacity=*/64);
+  EXPECT_EQ(threaded, inline_fed);
 }
 
 TEST(ShardStressTest, EngineTeardownWithLiveShardsIsClean) {

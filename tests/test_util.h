@@ -3,6 +3,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <map>
 #include <string>
@@ -159,5 +160,34 @@ inline std::vector<StreamElement> RandomPunctuatedStream(
   }
   return out;
 }
+
+/// \brief Pins the calling thread to the CPU it is running on and restores
+/// the previous affinity mask on destruction. A ShardManager (or a sharded
+/// SpStreamEngine) constructed inside the scope sees one usable CPU, starts
+/// no worker thread, and feeds every shard on the calling thread.
+class ScopedSingleCpu {
+ public:
+  ScopedSingleCpu() {
+    CPU_ZERO(&saved_);
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~ScopedSingleCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+
+  ScopedSingleCpu(const ScopedSingleCpu&) = delete;
+  ScopedSingleCpu& operator=(const ScopedSingleCpu&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
 
 }  // namespace spstream::sptest

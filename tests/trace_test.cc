@@ -80,15 +80,6 @@ const TraceEvent* FindInTrace(const std::vector<TraceEvent>& events,
   return nullptr;
 }
 
-size_t CountByName(const std::vector<TraceEvent>& events,
-                   const std::string& name) {
-  size_t n = 0;
-  for (const TraceEvent& e : events) {
-    if (name == e.name) ++n;
-  }
-  return n;
-}
-
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {

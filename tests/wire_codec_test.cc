@@ -461,7 +461,9 @@ TEST_F(WireFuzz, ScanPushTruncationAndGarbageCleanError) {
       Result<PushScan> r = ScanPush(std::string_view(payload.data(), cut));
       // A prefix may be self-consistent (fewer elements claimed than cut
       // off), but the call must return, not crash; just touch the result.
-      if (r.ok()) EXPECT_LE(r->element_count, p.elements.size());
+      if (r.ok()) {
+        EXPECT_LE(r->element_count, p.elements.size());
+      }
     }
   }
   for (int i = 0; i < 2000; ++i) {

@@ -397,7 +397,9 @@ class Shell {
               << log->CountOf(AuditEventKind::kPolicyInstall) << " installs, "
               << log->CountOf(AuditEventKind::kPolicyExpire) << " expires, "
               << log->CountOf(AuditEventKind::kDenial) << " denials, "
-              << log->CountOf(AuditEventKind::kPlanAdapt) << " re-plans)\n";
+              << log->CountOf(AuditEventKind::kPlanAdapt) << " re-plans, "
+              << log->CountOf(AuditEventKind::kShardFallback)
+              << " shard fallbacks)\n";
     for (const AuditEvent& e : log->Tail(n)) {
       std::cout << "  " << e.ToString() << "\n";
     }
