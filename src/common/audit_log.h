@@ -60,6 +60,8 @@ struct AuditEvent {
 /// \brief Thread-safe ring-buffered audit event stream.
 class AuditLog {
  public:
+  /// \brief A ring of the newest `capacity` events. The engine's log keeps
+  /// the default; all-time per-kind counters survive eviction.
   explicit AuditLog(size_t capacity = 1024);
 
   /// \brief Append an event (stamps its seq). Oldest event is evicted once

@@ -33,10 +33,10 @@ void CollectSourceStreams(const LogicalNodePtr& node,
 
 SpStreamEngine::SpStreamEngine(EngineOptions options)
     : options_(std::move(options)),
-      audit_(options_.audit_log_capacity),
       exec_ctx_{&roles_, &streams_, &metrics_,
                 options_.enable_audit ? &audit_ : nullptr},
-      overload_(OverloadOptions::FromEnv(options_.overload)) {
+      overload_(OverloadOptions::FromEnv(options_.overload),
+                options_.shard_queue_capacity) {
   // Tracing is process-global and sticky (the CLI's \trace and other
   // engines share the Tracer); an engine only ever switches it ON.
   if (options_.trace_sample_n > 0) {
@@ -67,12 +67,8 @@ SpStreamEngine::SpStreamEngine(EngineOptions options)
     watchdog_->Start();
   }
   if (!options_.data_dir.empty()) {
-    storage::DurabilityManager::Options dopts;
-    dopts.data_dir = options_.data_dir;
-    dopts.rebase_every =
-        std::max<int>(1, static_cast<int>(options_.checkpoint_rebase_every));
     auto opened = storage::DurabilityManager::Open(
-        std::move(dopts), &metrics_,
+        options_.data_dir, &metrics_,
         options_.enable_audit ? &audit_ : nullptr);
     if (!opened.ok()) {
       // Fail safe: never run with a data dir we could not read — durability
@@ -1016,7 +1012,7 @@ void SpStreamEngine::QuarantineGroup(QueryGroup* g,
       int64_t backoff_ms =
           oo.recovery_backoff_base_ms *
           (int64_t{1} << std::min(g->recovery_attempts, 20));
-      backoff_ms = std::min(backoff_ms, oo.recovery_backoff_max_ms);
+      backoff_ms = std::min(backoff_ms, kRecoveryBackoffMaxMs);
       g->next_recovery_nanos = NowNanos() + backoff_ms * 1000000;
     }
   }

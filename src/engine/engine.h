@@ -53,9 +53,6 @@ struct EngineOptions {
   /// Security audit log (policy installs/expirations, denials, re-plans).
   /// Disabling skips all audit-event rendering on the hot path.
   bool enable_audit = true;
-  /// Ring-buffer capacity of the audit log (all-time per-kind counters
-  /// survive eviction).
-  size_t audit_log_capacity = 1024;
   /// Intra-query parallelism: > 1 hash-partitions each query group's tuples
   /// by a plan-derived shard key across this many worker shards, each
   /// running its own clone of the group's DAG on its own thread. Security
@@ -90,8 +87,6 @@ struct EngineOptions {
   /// results are released only after the commit (delivered ≡ durable, so
   /// delivery is at-most-once across a crash). Empty = no persistence.
   std::string data_dir;
-  /// Durable commits between WAL compactions (full-snapshot rebases).
-  size_t checkpoint_rebase_every = 16;
   /// Soft wall-clock budget for one Run() epoch, in milliseconds. A
   /// finished epoch that exceeded it saturates the overload controller's
   /// deadline signal (state escalates to kShed), so the next epoch admits

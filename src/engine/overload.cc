@@ -13,6 +13,9 @@ namespace spstream {
 
 namespace {
 
+// Seed of the kRandom shed coin; fixed so a shedding run is reproducible.
+constexpr uint64_t kShedSeed = 0x5eed0501ULL;
+
 bool EnvFlag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
@@ -56,15 +59,16 @@ OverloadOptions OverloadOptions::FromEnv(OverloadOptions base) {
   return base;
 }
 
-OverloadController::OverloadController(OverloadOptions options)
-    : options_(options), rng_(options.shed_seed) {
+OverloadController::OverloadController(OverloadOptions options,
+                                       size_t shard_queue_capacity)
+    : options_(options),
+      queue_high_watermark_(std::max<size_t>(1, shard_queue_capacity * 3 / 4)),
+      rng_(kShedSeed) {
   // Guard against inverted or zero watermarks from env overrides.
   if (options_.pending_high_watermark == 0) options_.pending_high_watermark = 1;
   if (options_.pending_low_watermark >= options_.pending_high_watermark) {
     options_.pending_low_watermark = options_.pending_high_watermark / 2;
   }
-  if (options_.queue_high_watermark == 0) options_.queue_high_watermark = 1;
-  if (options_.throttle_divisor == 0) options_.throttle_divisor = 1;
   if (options_.shed_fraction < 0.0) options_.shed_fraction = 0.0;
   if (options_.shed_fraction > 1.0) options_.shed_fraction = 1.0;
 }
@@ -78,7 +82,7 @@ OverloadState OverloadController::Observe(size_t pending_backlog,
   double p = static_cast<double>(pending_backlog) /
              static_cast<double>(options_.pending_high_watermark);
   double q = static_cast<double>(max_queue_depth) /
-             static_cast<double>(options_.queue_high_watermark);
+             static_cast<double>(queue_high_watermark_);
   double d = 0.0;
   if (epoch_deadline_ms > 0 && last_epoch_nanos > 0) {
     d = static_cast<double>(last_epoch_nanos) /
@@ -118,7 +122,7 @@ bool OverloadController::ShouldShed(int stream_priority, int top_priority) {
 
 size_t OverloadController::EffectiveBatchSize(size_t base) const {
   if (state() == OverloadState::kNormal) return base;
-  return std::max<size_t>(1, base / options_.throttle_divisor);
+  return std::max<size_t>(1, base / kThrottleDivisor);
 }
 
 // ---- Watchdog --------------------------------------------------------------

@@ -32,7 +32,9 @@
 // Environment overrides (read by OverloadOptions::FromEnv; see
 // docs/ROBUSTNESS.md): SPSTREAM_OVERLOAD_SHED, SPSTREAM_PENDING_HIGH,
 // SPSTREAM_PENDING_LOW, SPSTREAM_SHED_FRACTION. Every other knob is set
-// through EngineOptions::overload only.
+// through EngineOptions::overload only; the shard-queue watermark (3/4 of
+// EngineOptions::shard_queue_capacity), kThrottleDivisor,
+// kRecoveryBackoffMaxMs and the shed coin's seed are fixed.
 #pragma once
 
 #include <atomic>
@@ -66,6 +68,11 @@ enum class ShedPolicy : uint8_t {
                   ///< shed (at shed_fraction) only from lower-priority ones
 };
 
+/// Source poll batches are divided by this factor in kThrottle/kShed.
+inline constexpr size_t kThrottleDivisor = 4;
+/// Cap on the quarantine-recovery backoff (base * 2^attempt).
+inline constexpr int64_t kRecoveryBackoffMaxMs = 5000;
+
 /// \brief Knobs for the controller, the watchdog, and quarantine recovery.
 /// Lives inside EngineOptions (EngineOptions::overload).
 struct OverloadOptions {
@@ -79,26 +86,17 @@ struct OverloadOptions {
   size_t pending_high_watermark = 16384;
   size_t pending_low_watermark = 8192;
 
-  /// Shard hand-off queue depth that counts as full pressure (compare
-  /// EngineOptions::shard_queue_capacity = 4096).
-  size_t queue_high_watermark = 3072;
-
   /// Fraction of data tuples dropped while in kShed (both policies).
   double shed_fraction = 0.5;
   ShedPolicy shed_policy = ShedPolicy::kRandom;
-  uint64_t shed_seed = 0x5eed0501ULL;  ///< rng seed for kRandom coin flips
-
-  /// Source poll batches are divided by this factor in kThrottle/kShed.
-  size_t throttle_divisor = 4;
 
   // ---- quarantine self-healing ------------------------------------------
   /// Recovery attempts before a quarantine becomes permanent. 0 disables
   /// self-healing (PR-4 behaviour: dark until deregistered).
   int max_recovery_attempts = 0;
   /// Capped exponential backoff between attempts:
-  /// base * 2^attempt, clamped to max.
+  /// base * 2^attempt, clamped to kRecoveryBackoffMaxMs.
   int64_t recovery_backoff_base_ms = 50;
-  int64_t recovery_backoff_max_ms = 5000;
 
   // ---- watchdog ----------------------------------------------------------
   bool watchdog = false;          ///< start the observer thread
@@ -117,7 +115,9 @@ struct OverloadOptions {
 /// serve loop caches it for shed-before-decode).
 class OverloadController {
  public:
-  explicit OverloadController(OverloadOptions options);
+  /// `shard_queue_capacity` is EngineOptions::shard_queue_capacity: a shard
+  /// queue 3/4 full counts as full pressure.
+  OverloadController(OverloadOptions options, size_t shard_queue_capacity);
 
   /// \brief Feed one pressure sample and return the new state.
   ///  - `pending_backlog`: largest per-stream pending element count
@@ -147,9 +147,12 @@ class OverloadController {
   int64_t tuples_shed() const { return tuples_shed_; }
   int64_t shed_decisions() const { return shed_decisions_; }
   const OverloadOptions& options() const { return options_; }
+  /// \brief Shard hand-off queue depth that counts as full pressure.
+  size_t queue_high_watermark() const { return queue_high_watermark_; }
 
  private:
   OverloadOptions options_;
+  size_t queue_high_watermark_;
   std::atomic<uint8_t> state_{0};
   double pressure_ = 0.0;
   int64_t tuples_shed_ = 0;     ///< coin flips that came up "drop"

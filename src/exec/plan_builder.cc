@@ -86,7 +86,6 @@ class PlanCompiler {
       opts.predicates = {pred};
       opts.stream_name = child.stream_name;
       opts.schema = child.schema;
-      opts.use_predicate_index = options_.ss_use_predicate_index;
       opts.mask_attributes = options_.ss_mask_attributes;
       auto* ss = pipeline_->Add<SsOperator>(std::move(opts));
       top->AddOutput(ss);

@@ -19,7 +19,6 @@ struct PhysicalPlanOptions {
   SaJoinOptions::ProbeMethod probe_method =
       SaJoinOptions::ProbeMethod::kProbeAndFilter;
   bool use_skipping_rule = true;
-  bool ss_use_predicate_index = true;
   bool ss_mask_attributes = false;
 };
 

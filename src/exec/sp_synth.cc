@@ -5,16 +5,13 @@ namespace spstream {
 SecurityPunctuation SynthesizeSp(const RoleSet& roles, Timestamp ts,
                                  const std::string& stream_name,
                                  const RoleCatalog& catalog) {
-  std::string role_text;
+  std::vector<std::string> names;
   roles.ForEach([&](RoleId id) {
-    if (!role_text.empty()) role_text += "|";
-    role_text += id < catalog.size() ? catalog.Name(id)
-                                     : "#" + std::to_string(id);
+    names.push_back(id < catalog.size() ? catalog.Name(id)
+                                        : "#" + std::to_string(id));
   });
-  Pattern role_pattern = role_text.empty()
-                             ? Pattern::Literal("__nobody__")
-                             : Pattern::Compile(role_text).value_or(
-                                   Pattern::Literal(role_text));
+  Pattern role_pattern = names.empty() ? Pattern::Literal("__nobody__")
+                                       : Pattern::LiteralList(names);
   SecurityPunctuation sp(
       Pattern::Literal(stream_name), Pattern::Any(), Pattern::Any(),
       std::move(role_pattern), Sign::kPositive, /*immutable=*/false, ts);

@@ -20,81 +20,72 @@ int64_t EventLoopNowMs() {
 // ---- epoll backend ---------------------------------------------------------
 
 namespace {
-
-class EpollBackend final : public EventBackend {
- public:
-  explicit EpollBackend(int epfd) : epfd_(epfd) {}
-  ~EpollBackend() override {
-    if (epfd_ >= 0) ::close(epfd_);
-  }
-
-  Status Add(int fd, bool want_write, bool edge_triggered) override {
-    return Ctl(EPOLL_CTL_ADD, fd, want_write, edge_triggered);
-  }
-
-  Status Mod(int fd, bool want_write) override {
-    return Ctl(EPOLL_CTL_MOD, fd, want_write, /*edge_triggered=*/true);
-  }
-
-  Status Del(int fd) override {
-    if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) < 0) {
-      return Status::Internal(std::string("net: epoll_ctl(DEL): ") +
-                              std::strerror(errno));
-    }
-    return Status::OK();
-  }
-
-  Result<size_t> Wait(std::vector<Ready>* out, int timeout_ms) override {
-    out->clear();
-    epoll_event events[kMaxEvents];
-    int n;
-    for (;;) {
-      n = ::epoll_wait(epfd_, events, kMaxEvents, timeout_ms);
-      if (n >= 0) break;
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("net: epoll_wait: ") +
-                              std::strerror(errno));
-    }
-    out->reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      Ready r;
-      r.fd = events[i].data.fd;
-      r.readable = (events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-      r.writable = (events[i].events & EPOLLOUT) != 0;
-      r.hangup = (events[i].events & (EPOLLHUP | EPOLLERR | EPOLLRDHUP)) != 0;
-      out->push_back(r);
-    }
-    return static_cast<size_t>(n);
-  }
-
- private:
-  static constexpr int kMaxEvents = 256;
-
-  Status Ctl(int op, int fd, bool want_write, bool edge_triggered) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP;
-    if (edge_triggered) ev.events |= EPOLLET;
-    if (want_write) ev.events |= EPOLLOUT;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, op, fd, &ev) < 0) {
-      return Status::Internal(std::string("net: epoll_ctl: ") +
-                              std::strerror(errno));
-    }
-    return Status::OK();
-  }
-
-  int epfd_;
-};
-
+constexpr int kMaxEvents = 256;
 }  // namespace
 
-Result<std::unique_ptr<EventBackend>> MakeEpollBackend() {
-  const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epfd < 0) {
+EpollBackend::~EpollBackend() {
+  if (epfd_ >= 0) ::close(epfd_);
+}
+
+Status EpollBackend::Open() {
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd_ < 0) {
     return Status::Internal(std::string("net: epoll_create1: ") +
                             std::strerror(errno));
   }
-  return std::unique_ptr<EventBackend>(new EpollBackend(epfd));
+  return Status::OK();
+}
+
+Status EpollBackend::Add(int fd, bool want_write, bool edge_triggered) {
+  return Ctl(EPOLL_CTL_ADD, fd, want_write, edge_triggered);
+}
+
+Status EpollBackend::Mod(int fd, bool want_write) {
+  return Ctl(EPOLL_CTL_MOD, fd, want_write, /*edge_triggered=*/true);
+}
+
+Status EpollBackend::Del(int fd) {
+  if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) < 0) {
+    return Status::Internal(std::string("net: epoll_ctl(DEL): ") +
+                            std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+Result<size_t> EpollBackend::Wait(std::vector<Ready>* out, int timeout_ms) {
+  out->clear();
+  epoll_event events[kMaxEvents];
+  int n;
+  for (;;) {
+    n = ::epoll_wait(epfd_, events, kMaxEvents, timeout_ms);
+    if (n >= 0) break;
+    if (errno == EINTR) continue;
+    return Status::Internal(std::string("net: epoll_wait: ") +
+                            std::strerror(errno));
+  }
+  out->reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Ready r;
+    r.fd = events[i].data.fd;
+    r.readable = (events[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+    r.writable = (events[i].events & EPOLLOUT) != 0;
+    r.hangup = (events[i].events & (EPOLLHUP | EPOLLERR | EPOLLRDHUP)) != 0;
+    out->push_back(r);
+  }
+  return static_cast<size_t>(n);
+}
+
+Status EpollBackend::Ctl(int op, int fd, bool want_write, bool edge_triggered) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP;
+  if (edge_triggered) ev.events |= EPOLLET;
+  if (want_write) ev.events |= EPOLLOUT;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epfd_, op, fd, &ev) < 0) {
+    return Status::Internal(std::string("net: epoll_ctl: ") +
+                            std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 // ---- timer wheel -----------------------------------------------------------
@@ -150,14 +141,14 @@ int TimerWheel::NextTimeoutMs(int64_t now_ms) const {
 
 // ---- event loop ------------------------------------------------------------
 
-EventLoop::EventLoop(std::unique_ptr<EventBackend> backend)
-    : backend_(std::move(backend)), timers_(EventLoopNowMs()) {}
+EventLoop::EventLoop() : timers_(EventLoopNowMs()) {}
 
 EventLoop::~EventLoop() {
   if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
 }
 
 Status EventLoop::Init() {
+  SP_RETURN_NOT_OK(backend_.Open());
   wakeup_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (wakeup_fd_ < 0) {
     return Status::Internal(std::string("net: eventfd: ") +
@@ -167,16 +158,16 @@ Status EventLoop::Init() {
   // nonzero, which keeps the next Wait from blocking — an edge-triggered
   // registration could have its edge consumed by a drain that ran before
   // the corresponding task/stop flag was visible, losing the wakeup.
-  return backend_->Add(wakeup_fd_, /*want_write=*/false,
+  return backend_.Add(wakeup_fd_, /*want_write=*/false,
                        /*edge_triggered=*/false);
 }
 
 void EventLoop::Run() {
-  std::vector<EventBackend::Ready> ready;
+  std::vector<EpollBackend::Ready> ready;
   std::vector<std::function<void()>> tasks;
   for (;;) {
     const int timeout_ms = timers_.NextTimeoutMs(EventLoopNowMs());
-    Result<size_t> n = backend_->Wait(&ready, timeout_ms);
+    Result<size_t> n = backend_.Wait(&ready, timeout_ms);
     if (!n.ok()) return;  // backend broken: nothing sane left to do
     // Drain BEFORE reading the stop flag / task queue: wakers write their
     // state first and the eventfd second, so anything drained here is
@@ -192,7 +183,7 @@ void EventLoop::Run() {
     // before this poll's readiness hints are interpreted.
     for (auto& task : tasks) task();
     tasks.clear();
-    for (const EventBackend::Ready& r : ready) {
+    for (const EpollBackend::Ready& r : ready) {
       if (r.fd == wakeup_fd_) continue;  // drained above
       if (io_handler_) io_handler_(r);
     }

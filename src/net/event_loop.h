@@ -1,11 +1,8 @@
 // The reactor's event-loop layer (docs/NETWORK.md "Threading model").
 //
-// An EventLoop owns one readiness-notification instance (epoll today; the
-// EventBackend interface keeps the syscall surface narrow enough that an
-// io_uring proactor can slot in without touching session logic), a set of
-// non-blocking fds registered by the server, a cross-thread task queue
-// woken through an eventfd, and a coarse timer wheel for idle/linger/flush
-// deadlines. The loop thread is the ONLY thread that touches its fds —
+// An EventLoop owns one epoll instance, a set of non-blocking fds
+// registered by the server, a cross-thread task queue woken through an
+// eventfd, and a coarse timer wheel for idle/linger/flush deadlines. The loop thread is the ONLY thread that touches its fds —
 // other threads communicate exclusively via Post()/Wakeup().
 //
 // Edge-triggered contract: the backend registers fds EPOLLET, so the
@@ -16,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -24,10 +20,10 @@
 
 namespace spstream {
 
-/// \brief Readiness-notification syscall surface. Implementations must be
-/// usable from one loop thread with Add/Mod/Del, plus Wait from that same
-/// thread; cross-thread wakeup goes through an fd registered like any other.
-class EventBackend {
+/// \brief The epoll(7) readiness surface (EPOLLET | EPOLLRDHUP), used from
+/// its loop's thread only; cross-thread wakeup goes through an fd registered
+/// like any other.
+class EpollBackend {
  public:
   struct Ready {
     int fd = -1;
@@ -38,26 +34,35 @@ class EventBackend {
     bool hangup = false;
   };
 
-  virtual ~EventBackend() = default;
+  EpollBackend() = default;
+  ~EpollBackend();
+
+  EpollBackend(const EpollBackend&) = delete;
+  EpollBackend& operator=(const EpollBackend&) = delete;
+
+  /// \brief Create the epoll instance; call once, before any other method.
+  Status Open();
 
   /// \brief Register `fd` for read (always) and, when `want_write`, write
   /// readiness. Edge-triggered by default; `edge_triggered=false` registers
   /// level-triggered — used for the wakeup eventfd, where level semantics
   /// make lost wakeups structurally impossible (an undrained write keeps
   /// the next Wait from blocking).
-  virtual Status Add(int fd, bool want_write, bool edge_triggered = true) = 0;
+  Status Add(int fd, bool want_write, bool edge_triggered = true);
   /// \brief Change write-readiness interest for a registered fd.
-  virtual Status Mod(int fd, bool want_write) = 0;
+  Status Mod(int fd, bool want_write);
   /// \brief Unregister; callers close the fd afterwards.
-  virtual Status Del(int fd) = 0;
+  Status Del(int fd);
   /// \brief Block up to `timeout_ms` (-1 = forever) and append readiness
   /// records to `out` (cleared first). Returns the number delivered; 0 on
   /// timeout. EINTR is retried internally.
-  virtual Result<size_t> Wait(std::vector<Ready>* out, int timeout_ms) = 0;
-};
+  Result<size_t> Wait(std::vector<Ready>* out, int timeout_ms);
 
-/// \brief The epoll(7) backend (EPOLLET | EPOLLRDHUP).
-Result<std::unique_ptr<EventBackend>> MakeEpollBackend();
+ private:
+  Status Ctl(int op, int fd, bool want_write, bool edge_triggered);
+
+  int epfd_ = -1;
+};
 
 /// \brief Coarse hashed timer wheel: deadlines bucketed into `tick_ms`
 /// slots, fired from the loop thread by Advance(). One-shot callbacks; a
@@ -99,15 +104,16 @@ class EventLoop {
  public:
   /// Called on the loop thread for every readiness event on a registered
   /// fd (the wakeup eventfd is filtered out internally).
-  using IoHandler = std::function<void(const EventBackend::Ready&)>;
+  using IoHandler = std::function<void(const EpollBackend::Ready&)>;
 
-  explicit EventLoop(std::unique_ptr<EventBackend> backend);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// \brief Create the wakeup eventfd and register it; call before Run().
+  /// \brief Open the epoll instance, create the wakeup eventfd and register
+  /// it; call before Run().
   Status Init();
 
   void set_io_handler(IoHandler handler) { io_handler_ = std::move(handler); }
@@ -131,14 +137,14 @@ class EventLoop {
   /// \brief Cross-thread: force the loop out of Wait().
   void Wakeup();
 
-  EventBackend* backend() { return backend_.get(); }
+  EpollBackend* backend() { return &backend_; }
   /// Loop-thread only.
   TimerWheel& timers() { return timers_; }
 
  private:
   void DrainWakeupFd();
 
-  std::unique_ptr<EventBackend> backend_;
+  EpollBackend backend_;
   IoHandler io_handler_;
   std::function<void()> tick_handler_;
   TimerWheel timers_;

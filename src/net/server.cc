@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "common/trace.h"
@@ -11,29 +10,6 @@
 #include "security/sp_codec.h"
 
 namespace spstream {
-
-namespace {
-
-int ResolveNetLoops(int configured) {
-  if (configured > 0) return configured;
-  if (const char* env = std::getenv("SPSTREAM_NET_LOOPS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0 && v <= 256) return static_cast<int>(v);
-  }
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<int>(hc) : 1;
-}
-
-bool ResolveReusePort(bool configured) {
-  if (const char* env = std::getenv("SPSTREAM_NET_REUSEPORT")) {
-    return !(env[0] == '0' || env[0] == 'f' || env[0] == 'F' ||
-             env[0] == 'n' || env[0] == 'N');
-  }
-  return configured;
-}
-
-}  // namespace
 
 StreamServer::StreamServer(EngineService* service, StreamServerOptions options)
     : service_(service),
@@ -73,104 +49,41 @@ Status StreamServer::Start(uint16_t port) {
         std::max(next_session_id_, engine->recovered_next_session_id());
   });
 
-  const int nloops = ResolveNetLoops(options_.net_loops);
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  const int nloops =
+      options_.net_loops > 0
+          ? options_.net_loops
+          : std::max(1, static_cast<int>(hardware_threads));
+  // Undo a partial start: close every listener bound so far and drop the
+  // loops (their epoll and wakeup fds close with them).
+  auto fail = [this](Status st) {
+    for (auto& shard : shards_) {
+      if (shard->listen_fd >= 0) CloseSocket(shard->listen_fd);
+    }
+    shards_.clear();
+    return st;
+  };
   shards_.clear();
   for (int i = 0; i < nloops; ++i) {
-    Result<std::unique_ptr<EventBackend>> backend = MakeEpollBackend();
-    if (!backend.ok()) {
-      shards_.clear();
-      return backend.status();
-    }
-    auto shard = std::make_unique<LoopShard>(options_.ingress_capacity);
-    shard->loop = std::make_unique<EventLoop>(std::move(*backend));
-    Status st = shard->loop->Init();
-    if (!st.ok()) {
-      shards_.clear();
-      return st;
-    }
-    shards_.push_back(std::move(shard));
-  }
-
-  auto close_listeners = [&] {
-    for (auto& shard : shards_) {
-      if (shard->listen_fd >= 0) {
-        CloseSocket(shard->listen_fd);
-        shard->listen_fd = -1;
-      }
-    }
-  };
-
-  // One SO_REUSEPORT listener per loop when available, so the kernel
-  // spreads incoming connections across loops with no cross-thread handoff;
-  // otherwise shard 0 accepts alone and round-robins connections out.
-  bool reuse_ok = ResolveReusePort(options_.so_reuseport);
-  single_acceptor_ = true;
-  if (reuse_ok) {
-    ListenOptions lo;
-    lo.backlog = options_.listen_backlog;
-    lo.reuse_port = true;
-    lo.non_blocking = true;
-    Result<int> fd0 = TcpListenWith(port, lo);
-    if (fd0.ok()) {
-      shards_[0]->listen_fd = *fd0;
-      Result<uint16_t> bound = TcpLocalPort(*fd0);
-      if (!bound.ok()) {
-        close_listeners();
-        shards_.clear();
-        return bound.status();
-      }
+    LoopShard& shard = *shards_.emplace_back(std::make_unique<LoopShard>());
+    shard.loop = std::make_unique<EventLoop>();
+    Status st = shard.loop->Init();
+    if (!st.ok()) return fail(st);
+    // Loop 0 binds the requested port; the others join the port it got.
+    Result<int> fd = TcpListenReusePort(i == 0 ? port : port_);
+    if (!fd.ok()) return fail(fd.status());
+    shard.listen_fd = *fd;
+    if (i == 0) {
+      Result<uint16_t> bound = TcpLocalPort(*fd);
+      if (!bound.ok()) return fail(bound.status());
       port_ = *bound;
-      for (int i = 1; i < nloops; ++i) {
-        Result<int> fdi = TcpListenWith(port_, lo);
-        if (!fdi.ok()) {
-          reuse_ok = false;
-          break;
-        }
-        shards_[static_cast<size_t>(i)]->listen_fd = *fdi;
-      }
-      if (reuse_ok) {
-        single_acceptor_ = false;
-      } else {
-        close_listeners();
-      }
-    } else {
-      reuse_ok = false;
     }
-  }
-  if (!reuse_ok) {
-    ListenOptions lo;
-    lo.backlog = options_.listen_backlog;
-    lo.reuse_port = false;
-    lo.non_blocking = true;
-    Result<int> fd = TcpListenWith(port, lo);
-    if (!fd.ok()) {
-      shards_.clear();
-      return fd.status();
-    }
-    shards_[0]->listen_fd = *fd;
-    Result<uint16_t> bound = TcpLocalPort(*fd);
-    if (!bound.ok()) {
-      close_listeners();
-      shards_.clear();
-      return bound.status();
-    }
-    port_ = *bound;
-  }
-
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    LoopShard* shard = shards_[i].get();
-    if (shard->listen_fd >= 0) {
-      Status st = shard->loop->backend()->Add(shard->listen_fd,
-                                              /*want_write=*/false);
-      if (!st.ok()) {
-        close_listeners();
-        shards_.clear();
-        return st;
-      }
-    }
-    shard->loop->set_io_handler(
-        [this, i](const EventBackend::Ready& r) { LoopIo(i, r); });
-    shard->loop->set_tick_handler([this, i] { LoopTick(i); });
+    st = shard.loop->backend()->Add(*fd, /*want_write=*/false);
+    if (!st.ok()) return fail(st);
+    const size_t index = static_cast<size_t>(i);
+    shard.loop->set_io_handler(
+        [this, index](const EpollBackend::Ready& r) { LoopIo(index, r); });
+    shard.loop->set_tick_handler([this, index] { LoopTick(index); });
   }
 
   started_ = true;
@@ -259,7 +172,7 @@ int64_t StreamServer::frames_shed() const {
 
 // ---- loop-thread side ------------------------------------------------------
 
-void StreamServer::LoopIo(size_t shard_index, const EventBackend::Ready& r) {
+void StreamServer::LoopIo(size_t shard_index, const EpollBackend::Ready& r) {
   LoopShard& shard = *shards_[shard_index];
   if (r.fd == shard.listen_fd) {
     AcceptReady(shard_index);
@@ -289,26 +202,11 @@ void StreamServer::AcceptReady(size_t shard_index) {
     const int id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     service_->metrics()->AddCounter("net.connections_total");
-    size_t target = shard_index;
-    if (single_acceptor_ && shards_.size() > 1) {
-      target = static_cast<size_t>(id) % shards_.size();
-    }
-    if (target == shard_index) {
-      AdoptConnection(shard_index, *fd, id);
-    } else {
-      const int handoff_fd = *fd;
-      shards_[target]->loop->Post([this, target, handoff_fd, id] {
-        AdoptConnection(target, handoff_fd, id);
-      });
-    }
+    AdoptConnection(shard_index, *fd, id);
   }
 }
 
 void StreamServer::AdoptConnection(size_t shard_index, int fd, int id) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    CloseSocket(fd);
-    return;
-  }
   LoopShard& shard = *shards_[shard_index];
   auto conn = std::make_shared<ConnState>(id, fd, static_cast<int>(shard_index),
                                           shard.loop.get());

@@ -14,8 +14,8 @@
 // session/credit/subscription decision and runs epochs. The engine thread
 // is woken by the loops and by EngineService's work notifier, so accepting,
 // parsing and writing scale across cores while the engine's single-threaded
-// invariant holds trivially. The syscall surface lives behind EventBackend
-// (net/event_loop.h), sized so an io_uring proactor can slot in later.
+// invariant holds trivially. Each loop binds its own SO_REUSEPORT listener on
+// the server's port, so the kernel spreads accepts across loops.
 //
 // Backpressure is credit-based: every connection is granted
 // `options.initial_credits` element credits at HELLO_ACK; each element in a
@@ -60,18 +60,9 @@ struct StreamServerOptions {
   /// How long a detached session (abrupt disconnect / preserved eviction)
   /// stays resumable before the linger timer expires it.
   int session_linger_ms = 10000;
-  /// Event-loop threads. 0 = auto: SPSTREAM_NET_LOOPS env var if set, else
-  /// one per hardware thread.
+  /// Event-loop threads, each with its own SO_REUSEPORT listener. 0 = one
+  /// per hardware thread.
   int net_loops = 0;
-  /// Bind one SO_REUSEPORT listener per loop so the kernel spreads accepts;
-  /// falls back to a single accepting loop (round-robin handoff) when the
-  /// platform refuses. SPSTREAM_NET_REUSEPORT=0 disables.
-  bool so_reuseport = true;
-  /// listen(2) backlog per listener.
-  int listen_backlog = 128;
-  /// Capacity of each loop's ingress queue (events staged for the engine
-  /// thread); a full queue pauses that loop's reads, never drops events.
-  size_t ingress_capacity = 4096;
   /// Buffered outbound bytes per connection before the subscriber is
   /// declared dead and evicted. 0 = uncapped.
   size_t max_outbound_bytes = 64u << 20;
@@ -86,8 +77,9 @@ class StreamServer {
   StreamServer(const StreamServer&) = delete;
   StreamServer& operator=(const StreamServer&) = delete;
 
-  /// \brief Bind the loopback listener(s) (port 0 = kernel-chosen) and
-  /// start the event-loop and engine threads.
+  /// \brief Bind one loopback listener per loop (port 0 = kernel-chosen)
+  /// and start the event-loop and engine threads. Fails, with nothing left
+  /// open, when any listener cannot bind (e.g. the port is taken).
   Status Start(uint16_t port);
 
   /// \brief Stop serving: join every thread, close every fd. Idempotent.
@@ -114,6 +106,9 @@ class StreamServer {
   int net_loops() const { return static_cast<int>(shards_.size()); }
 
  private:
+  /// Capacity of each loop's ingress queue.
+  static constexpr size_t kIngressCapacity = 4096;
+
   /// One staged unit of work for the engine thread. Loops decode what they
   /// can without the engine (frame boundaries, PUSH payloads) and forward
   /// the rest; a kClosed event is the single handoff of a dead connection.
@@ -134,7 +129,9 @@ class StreamServer {
     std::unique_ptr<EventLoop> loop;
     std::thread thread;
     int listen_fd = -1;
-    BoundedQueue<IngressEvent> ingress;
+    /// Events staged for the engine thread; a full queue pauses this
+    /// loop's reads, never drops events.
+    BoundedQueue<IngressEvent> ingress{kIngressCapacity};
     // fd -> connection; stale epoll events miss harmlessly after erase.
     std::unordered_map<int, std::shared_ptr<ConnState>> conns;
     // Events staged since the last tick, flushed to `ingress` in one batch.
@@ -142,8 +139,6 @@ class StreamServer {
     bool stalled = false;      ///< ingress was full; reads are paused
     bool retry_armed = false;  ///< egress retry timer scheduled
     std::vector<std::shared_ptr<ConnState>> pending_reads;
-
-    explicit LoopShard(size_t capacity) : ingress(capacity) {}
   };
 
   /// A client identity that survives its TCP connection. Created at HELLO,
@@ -162,7 +157,7 @@ class StreamServer {
   };
 
   // ---- loop-thread side ---------------------------------------------------
-  void LoopIo(size_t shard_index, const EventBackend::Ready& ready);
+  void LoopIo(size_t shard_index, const EpollBackend::Ready& ready);
   void LoopTick(size_t shard_index);
   void AcceptReady(size_t shard_index);
   void AdoptConnection(size_t shard_index, int fd, int id);
@@ -258,8 +253,6 @@ class StreamServer {
   storage::DurabilityManager* durability_ = nullptr;
 
   std::vector<std::unique_ptr<LoopShard>> shards_;
-  bool single_acceptor_ = false;  ///< SO_REUSEPORT unavailable: shard 0
-                                  ///< accepts and round-robins handoffs
   uint16_t port_ = 0;
   bool started_ = false;
   std::atomic<bool> stopping_{false};

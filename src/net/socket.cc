@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -43,28 +42,18 @@ Status ReadExact(int fd, char* buf, size_t n, bool clean_eof_ok) {
 
 }  // namespace
 
-Result<int> TcpListen(uint16_t port, int backlog) {
-  ListenOptions options;
-  options.backlog = backlog;
-  return TcpListenWith(port, options);
-}
-
-Result<int> TcpListenWith(uint16_t port, const ListenOptions& options) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+Result<int> TcpListenReusePort(uint16_t port) {
+  // listen(2) backlog per listener; with one listener per loop the kernel
+  // queue is this many times the loop count.
+  constexpr int kListenBacklog = 128;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return Errno("socket");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (options.reuse_port) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-      Status st = Errno("setsockopt(SO_REUSEPORT)");
-      ::close(fd);
-      return st;
-    }
-#else
+  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
+    Status st = Errno("setsockopt(SO_REUSEPORT)");
     ::close(fd);
-    return Status::Unimplemented("net: SO_REUSEPORT not supported");
-#endif
+    return st;
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -75,17 +64,10 @@ Result<int> TcpListenWith(uint16_t port, const ListenOptions& options) {
     ::close(fd);
     return st;
   }
-  if (::listen(fd, options.backlog) < 0) {
+  if (::listen(fd, kListenBacklog) < 0) {
     Status st = Errno("listen");
     ::close(fd);
     return st;
-  }
-  if (options.non_blocking) {
-    Status st = SetNonBlocking(fd);
-    if (!st.ok()) {
-      ::close(fd);
-      return st;
-    }
   }
   return fd;
 }
@@ -97,19 +79,6 @@ Result<uint16_t> TcpLocalPort(int fd) {
     return Errno("getsockname");
   }
   return ntohs(addr.sin_port);
-}
-
-Result<int> TcpAccept(int listen_fd) {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return fd;
-    }
-    if (errno == EINTR) continue;
-    return Errno("accept");
-  }
 }
 
 Result<int> TcpAcceptNonBlocking(int listen_fd) {
@@ -125,15 +94,6 @@ Result<int> TcpAcceptNonBlocking(int listen_fd) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
     return Errno("accept");
   }
-}
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return Errno("fcntl(F_GETFL)");
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Errno("fcntl(F_SETFL)");
-  }
-  return Status::OK();
 }
 
 Result<int> TcpConnect(const std::string& host, uint16_t port) {

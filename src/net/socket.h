@@ -18,35 +18,19 @@
 
 namespace spstream {
 
-/// \brief Listening TCP socket on `port` (0 = kernel-chosen); returns fd.
-Result<int> TcpListen(uint16_t port, int backlog = 16);
-
-struct ListenOptions {
-  int backlog = 128;
-  /// SO_REUSEPORT: several listeners may bind the same port and the kernel
-  /// load-balances accepts across them — one listener per event loop. Fails
-  /// on kernels without the option; callers fall back to a single listener.
-  bool reuse_port = false;
-  /// O_NONBLOCK on the listening fd (reactor accept loops drain to EAGAIN).
-  bool non_blocking = false;
-};
-
-/// \brief TcpListen with explicit options (the reactor's entry point).
-Result<int> TcpListenWith(uint16_t port, const ListenOptions& options);
+/// \brief Non-blocking loopback listener on `port` (0 = kernel-chosen) with
+/// SO_REUSEPORT set, so several listeners (one per event loop) can bind the
+/// same port and the kernel load-balances accepts across them. Binding a
+/// port that a socket without SO_REUSEPORT holds fails. Returns the fd.
+Result<int> TcpListenReusePort(uint16_t port);
 
 /// \brief The local port an fd is bound to (resolves port-0 listens).
 Result<uint16_t> TcpLocalPort(int fd);
-
-/// \brief Blocking accept; returns the connection fd.
-Result<int> TcpAccept(int listen_fd);
 
 /// \brief Non-blocking accept for reactor loops: returns the connection fd
 /// (TCP_NODELAY + O_NONBLOCK already set), or -1 when no connection is
 /// pending (EAGAIN — wait for the next EPOLLIN on the listener).
 Result<int> TcpAcceptNonBlocking(int listen_fd);
-
-/// \brief O_NONBLOCK on an existing fd.
-Status SetNonBlocking(int fd);
 
 /// \brief Blocking connect to host:port (numeric or resolvable name).
 Result<int> TcpConnect(const std::string& host, uint16_t port);

@@ -39,6 +39,16 @@ Pattern Pattern::Literal(std::string_view lit) {
   return Pattern(std::move(rep));
 }
 
+Pattern Pattern::LiteralList(const std::vector<std::string>& lits) {
+  auto rep = std::make_shared<Rep>();
+  for (const std::string& lit : lits) {
+    if (!rep->text.empty()) rep->text += '|';
+    rep->text += lit;
+    rep->alts.push_back({AltKind::kLiteral, lit, 0, 0});
+  }
+  return Pattern(std::move(rep));
+}
+
 Pattern Pattern::Range(int64_t lo, int64_t hi) {
   auto rep = std::make_shared<Rep>();
   rep->text = "[" + std::to_string(lo) + "-" + std::to_string(hi) + "]";

@@ -46,6 +46,11 @@ class Pattern {
   /// \brief Pattern matching exactly one literal.
   static Pattern Literal(std::string_view lit);
 
+  /// \brief Pattern matching any of `lits` (non-empty), one literal
+  /// alternative each, with text "a|b|..."; nothing is parsed, so a name
+  /// containing '*' or '?' stays a literal.
+  static Pattern LiteralList(const std::vector<std::string>& lits);
+
   /// \brief Pattern matching the inclusive integer range [lo, hi].
   static Pattern Range(int64_t lo, int64_t hi);
 

@@ -142,9 +142,9 @@ std::string DurabilityManager::DeltaName(uint64_t epoch) {
 // ---- lifecycle -----------------------------------------------------------
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
-    Options options, MetricsRegistry* metrics, AuditLog* audit) {
+    std::string data_dir, MetricsRegistry* metrics, AuditLog* audit) {
   auto dm = std::unique_ptr<DurabilityManager>(
-      new DurabilityManager(std::move(options), metrics, audit));
+      new DurabilityManager(std::move(data_dir), metrics, audit));
   SP_RETURN_NOT_OK(dm->Recover());
   return dm;
 }
@@ -154,7 +154,7 @@ Status DurabilityManager::Recover() {
     Count("storage.recovery_failures");
     return Status::Internal("injected fault: storage.recovery_replay");
   }
-  SP_ASSIGN_OR_RETURN(disk_, DiskManager::Open(options_.data_dir));
+  SP_ASSIGN_OR_RETURN(disk_, DiskManager::Open(data_dir_));
 
   uint64_t floor = 1;
   if (disk_->Exists(kManifestName)) {
@@ -373,8 +373,7 @@ Status DurabilityManager::FlushAuditTail(const AuditLog& audit) {
 
 bool DurabilityManager::WantsFullCheckpoint() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return manifest_.delta_epochs.size() + 1 >=
-         static_cast<size_t>(std::max(1, options_.rebase_every));
+  return manifest_.delta_epochs.size() + 1 >= kRebaseEvery;
 }
 
 uint64_t DurabilityManager::committed_epoch() const {
@@ -528,7 +527,7 @@ Status DurabilityManager::CommitEpoch(const EpochMeta& meta, bool full,
          ++seq) {
       (void)disk_->RemoveFile("wal/" + WalSegmentName(seq));
     }
-  } else if (wal_->segment_bytes() >= options_.segment_bytes) {
+  } else if (wal_->segment_bytes() >= kSegmentBytes) {
     SP_RETURN_NOT_OK(wal_->Rotate(next_seq_++));
   }
   return Status::OK();

@@ -16,7 +16,7 @@
 // committed immediately, because they must survive even when no epoch ever
 // commits.
 //
-// Every `rebase_every` committed epochs the manager compacts: a fresh WAL
+// Every kRebaseEvery (16) committed epochs the manager compacts: a fresh WAL
 // segment is seeded with a replica of the live catalog + session table
 // (opened by a kRebaseReplica marker so an uncommitted compaction is
 // ignored on replay), the delta chain collapses to one full snapshot, and
@@ -97,19 +97,16 @@ struct EpochMeta {
 
 class DurabilityManager {
  public:
-  struct Options {
-    std::string data_dir;
-    /// Full-snapshot + WAL-compaction cadence (committed epochs).
-    int rebase_every = 16;
-    /// Size-based WAL segment rotation threshold.
-    uint64_t segment_bytes = 1u << 20;
-  };
+  /// Full-snapshot + WAL-compaction cadence (committed epochs).
+  static constexpr size_t kRebaseEvery = 16;
+  /// Size-based WAL segment rotation threshold.
+  static constexpr uint64_t kSegmentBytes = 1u << 20;
 
-  /// \brief Open the data dir and run recovery. Fails cleanly (no partial
+  /// \brief Open `data_dir` and run recovery. Fails cleanly (no partial
   /// state, nothing deleted) on the storage.recovery_replay fault or any
   /// corruption the CRCs catch. `metrics` and `audit` may be null.
   static Result<std::unique_ptr<DurabilityManager>> Open(
-      Options options, MetricsRegistry* metrics, AuditLog* audit);
+      std::string data_dir, MetricsRegistry* metrics, AuditLog* audit);
 
   /// \brief State recovered during Open; the engine consumes it once.
   RecoveredState& recovered() { return recovered_; }
@@ -155,9 +152,9 @@ class DurabilityManager {
     std::vector<uint64_t> delta_epochs;  ///< ascending chain
   };
 
-  DurabilityManager(Options options, MetricsRegistry* metrics,
+  DurabilityManager(std::string data_dir, MetricsRegistry* metrics,
                     AuditLog* audit)
-      : options_(std::move(options)), metrics_(metrics), audit_(audit) {}
+      : data_dir_(std::move(data_dir)), metrics_(metrics), audit_(audit) {}
 
   static void EncodeManifest(const Manifest& m, std::string* out);
   static Result<Manifest> DecodeManifest(std::string_view data);
@@ -168,7 +165,7 @@ class DurabilityManager {
   void Count(const char* name, int64_t delta = 1);
   void AuditStorageEvent(const std::string& detail);
 
-  const Options options_;
+  const std::string data_dir_;
   MetricsRegistry* const metrics_;
   AuditLog* const audit_;
 

@@ -104,8 +104,10 @@ TEST(SpSynthTest, SynthesizedSpIsResolvedAndScoped) {
   EXPECT_TRUE(sp.AppliesToStream("join_out"));
   EXPECT_FALSE(sp.AppliesToStream("other"));
   EXPECT_EQ(sp.ts(), 42);
-  // The pattern text round-trips through the catalog names.
+  // The pattern text round-trips through the catalog names, built as one
+  // literal alternative per role without parsing the joined text.
   EXPECT_EQ(sp.role_pattern().text(), "alpha|beta");
+  EXPECT_TRUE(sp.role_pattern().IsLiteralList());
 }
 
 TEST(SpSynthTest, EmptyRoleSetSynthesizesDenyAll) {

@@ -5,7 +5,11 @@
 // evicted with an audit trail.
 #include "net/server.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -453,6 +457,47 @@ TEST_F(NetServerTest, StopReturnsDuringInFlightHandshake) {
       << "Stop() wedged behind a connection that never sent HELLO";
   stopper.join();
   CloseSocket(*fd);
+}
+
+// Start's only listen path is one SO_REUSEPORT listener per loop. A port
+// that a plain socket (no SO_REUSEPORT) already listens on cannot be
+// shared, so Start must fail and close everything it opened: the failed
+// server is safe to Stop() and to destroy, and it can still start on a
+// free port afterwards.
+TEST_F(NetServerTest, StartFailsWithoutLeaksOnPortHeldWithoutReusePort) {
+  const int held = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(held, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(held, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(held, 4), 0);
+  Result<uint16_t> port = TcpLocalPort(held);
+  ASSERT_TRUE(port.ok());
+
+  StreamServerOptions options;
+  options.net_loops = 2;
+  const int fd_baseline = CountOpenFds();
+  {
+    StreamServer doomed(&service_, options);
+    EXPECT_FALSE(doomed.Start(*port).ok());
+    EXPECT_EQ(CountOpenFds(), fd_baseline) << "failed Start leaked fds";
+  }  // destructor after a failed Start
+  EXPECT_EQ(CountOpenFds(), fd_baseline);
+
+  server_ = std::make_unique<StreamServer>(&service_, options);
+  EXPECT_FALSE(server_->Start(*port).ok());
+  server_->Stop();
+  server_->Stop();
+  EXPECT_EQ(CountOpenFds(), fd_baseline) << "Stop after failed Start";
+  ::close(held);
+
+  ASSERT_TRUE(server_->Start(0).ok());
+  EXPECT_EQ(server_->net_loops(), 2);
+  StreamClient client = Connect("after-failed-start");
+  EXPECT_TRUE(client.connected());
 }
 
 TEST_F(NetServerTest, ServerStopUnblocksClients) {

@@ -288,10 +288,42 @@ TEST_F(OverloadTest, FromEnvAppliesEachOverride) {
   EXPECT_EQ(got.pending_low_watermark, 16u);
   EXPECT_DOUBLE_EQ(got.shed_fraction, 0.25);
   // Fields without an override keep the caller's value.
-  EXPECT_EQ(got.queue_high_watermark, base.queue_high_watermark);
   EXPECT_EQ(got.shed_policy, base.shed_policy);
   EXPECT_EQ(got.max_recovery_attempts, base.max_recovery_attempts);
   EXPECT_EQ(got.watchdog, base.watchdog);
+}
+
+// ---- fixed controller settings ---------------------------------------------
+
+// The controller's fixed settings, pinned on the controller alone: a shard
+// queue 3/4 full is full pressure (kShed), the pending low/high ratio is
+// the throttle rung on every signal, and a throttled poll is a quarter of
+// the base batch, never below one element.
+TEST_F(OverloadTest, ControllerConstantsSetTheLadder) {
+  const EngineOptions engine_defaults;
+  const OverloadOptions defaults;
+  OverloadController ctl(defaults, engine_defaults.shard_queue_capacity);
+  const size_t full = engine_defaults.shard_queue_capacity * 3 / 4;
+  EXPECT_EQ(ctl.queue_high_watermark(), 3072u);
+  EXPECT_EQ(ctl.queue_high_watermark(), full);
+
+  EXPECT_EQ(ctl.Observe(0, 0, 0, 0), OverloadState::kNormal);
+  EXPECT_EQ(ctl.EffectiveBatchSize(64), 64u);
+  EXPECT_EQ(ctl.Observe(0, full, 0, 0), OverloadState::kShed);
+  EXPECT_EQ(ctl.Observe(0, full - 1, 0, 0), OverloadState::kThrottle);
+
+  // Throttle rung: pending_low / pending_high, on the queue signal too.
+  const size_t throttle_depth =
+      full * defaults.pending_low_watermark / defaults.pending_high_watermark;
+  EXPECT_EQ(ctl.Observe(0, throttle_depth - 1, 0, 0), OverloadState::kNormal);
+  EXPECT_EQ(ctl.Observe(defaults.pending_low_watermark - 1, 0, 0, 0),
+            OverloadState::kNormal);
+  EXPECT_EQ(ctl.Observe(defaults.pending_low_watermark, 0, 0, 0),
+            OverloadState::kThrottle);
+  EXPECT_EQ(ctl.Observe(0, throttle_depth, 0, 0), OverloadState::kThrottle);
+  EXPECT_EQ(ctl.EffectiveBatchSize(64), 64u / kThrottleDivisor);
+  EXPECT_EQ(ctl.EffectiveBatchSize(64), 16u);
+  EXPECT_EQ(ctl.EffectiveBatchSize(1), 1u);
 }
 
 // ---- priority shed policy --------------------------------------------------

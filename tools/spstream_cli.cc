@@ -289,16 +289,16 @@ class Shell {
               << (opt.shed_policy == ShedPolicy::kPriority ? "priority"
                                                            : "random")
               << " fraction=" << opt.shed_fraction
-              << " throttle_divisor=" << opt.throttle_divisor << "\n"
+              << " throttle=batch/" << kThrottleDivisor << "\n"
               << "  watermarks: pending=" << opt.pending_low_watermark << "/"
               << opt.pending_high_watermark
-              << " queue=" << opt.queue_high_watermark << "\n"
+              << " queue=" << ctl.queue_high_watermark() << "\n"
               << "  shed: tuples=" << ctl.tuples_shed()
               << " decisions=" << ctl.shed_decisions() << "\n"
               << "  quarantined: " << engine_.quarantined_count()
               << " (max_recovery_attempts=" << opt.max_recovery_attempts
               << " backoff=" << opt.recovery_backoff_base_ms << ".."
-              << opt.recovery_backoff_max_ms << "ms watchdog="
+              << kRecoveryBackoffMaxMs << "ms watchdog="
               << (opt.watchdog ? "on" : "off") << ")\n";
     return Status::OK();
   }
