@@ -22,6 +22,11 @@ const char* AuditEventKindName(AuditEventKind kind) {
   return "unknown";
 }
 
+const std::string& AuditText::Empty() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 std::string AuditEvent::ToString() const {
   std::ostringstream os;
   os << "#" << seq << " " << AuditEventKindName(kind);
@@ -42,9 +47,9 @@ std::string AuditEvent::ToJson() const {
   os << "{\"seq\":" << seq << ",\"kind\":\"" << AuditEventKindName(kind)
      << "\",\"scope\":\"" << JsonEscape(scope) << "\",\"stream\":\""
      << JsonEscape(stream) << "\",\"sp_ts\":" << sp_ts
-     << ",\"tuple_id\":" << tuple_id << ",\"roles\":\"" << JsonEscape(roles)
+     << ",\"tuple_id\":" << tuple_id << ",\"roles\":\"" << JsonEscape(roles.str())
      << "\",\"trace_id\":" << trace_id << ",\"detail\":\""
-     << JsonEscape(detail) << "\"}";
+     << JsonEscape(detail.str()) << "\"}";
   return os.str();
 }
 

@@ -10,8 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -35,8 +38,38 @@ constexpr int kNumAuditEventKinds = 10;
 
 const char* AuditEventKindName(AuditEventKind kind);
 
-/// \brief One audit record. String fields are rendered at emission time so
-/// events stay meaningful after the originating operator is gone.
+/// \brief Immutable text shared by reference count. A producer renders a
+/// value (a shield's role predicate, a policy's roles) once and every event
+/// citing it shares the one buffer, so a run of denials copies a pointer
+/// instead of the text. Reads like a `const std::string`.
+class AuditText {
+ public:
+  AuditText() = default;
+  AuditText(std::string text)  // implicit, like assigning a std::string
+      : text_(std::make_shared<const std::string>(std::move(text))) {}
+  AuditText(const char* text) : AuditText(std::string(text)) {}
+
+  const std::string& str() const { return text_ ? *text_ : Empty(); }
+  operator const std::string&() const { return str(); }
+  bool empty() const { return str().empty(); }
+  size_t find(std::string_view needle, size_t pos = 0) const {
+    return str().find(needle, pos);
+  }
+  friend bool operator==(const AuditText& a, std::string_view b) {
+    return a.str() == b;
+  }
+  friend std::ostream& operator<<(std::ostream& os, const AuditText& t) {
+    return os << t.str();
+  }
+
+ private:
+  static const std::string& Empty();
+  std::shared_ptr<const std::string> text_;
+};
+
+/// \brief One audit record. Its text is rendered when the event is built
+/// (shared with other events of the same value, see AuditText), so events
+/// stay meaningful after the originating operator is gone.
 struct AuditEvent {
   int64_t seq = 0;        ///< monotone id, stamped by AuditLog::Append
   AuditEventKind kind = AuditEventKind::kDenial;
@@ -44,8 +77,8 @@ struct AuditEvent {
   std::string stream;     ///< stream the event concerns
   Timestamp sp_ts = 0;    ///< id of the responsible sp-batch (its timestamp)
   TupleId tuple_id = 0;   ///< denials: the denied tuple's id
-  std::string roles;      ///< role predicate of the denied query / the sp
-  std::string detail;     ///< free-form context (policy roles, sign, ...)
+  AuditText roles;        ///< role predicate of the denied query / the sp
+  AuditText detail;       ///< free-form context (policy roles, sign, ...)
   /// Trace id of the span chain that produced the event (SpBatchTraceId of
   /// the responsible sp-batch for installs/denials, the epoch trace for
   /// quarantines), so `\audit` cross-references `\trace`. 0 when tracing is

@@ -10,23 +10,6 @@ namespace spstream {
 
 namespace {
 
-/// Audit record for a join result suppressed by incompatible base policies.
-void AuditJoinDenial(AuditLog* log, const Operator& op,
-                     const std::string& stream, const Tuple& left,
-                     const Tuple& right, const Policy& left_policy,
-                     const Policy& right_policy, const RoleCatalog& roles) {
-  AuditEvent e;
-  e.kind = AuditEventKind::kDenial;
-  e.scope = op.query_tag();
-  e.stream = stream;
-  e.tuple_id = std::max(left.tid, right.tid);
-  e.sp_ts = std::max(left_policy.ts(), right_policy.ts());
-  e.roles = left_policy.allowed().ToString(roles) + "∩" +
-            right_policy.allowed().ToString(roles);
-  e.detail = "join policies incompatible (empty intersection)";
-  log->Append(std::move(e));
-}
-
 /// Probe-loop key equality. The inner loop runs once per resident opposite
 /// tuple, so the common case — both keys int64 — compares inline instead of
 /// calling Value::Compare; everything else (strings, nulls, int64/double
@@ -67,19 +50,42 @@ void SaJoinBase::UpdateStateBytes() {
       IndexMemoryBytes()));
 }
 
+void SaJoinBase::AuditJoinDenial(const Tuple& left, const Tuple& right,
+                                 const PolicyPtr& left_policy,
+                                 const PolicyPtr& right_policy) {
+  AuditLog* log = audit();
+  if (log == nullptr) return;
+  if (left_policy != denial_policies_[0] ||
+      right_policy != denial_policies_[1]) {
+    denial_policies_[0] = left_policy;
+    denial_policies_[1] = right_policy;
+    denial_roles_text_ = left_policy->allowed().ToString(*ctx_->roles) +
+                         "∩" +
+                         right_policy->allowed().ToString(*ctx_->roles);
+  }
+  AuditEvent e;
+  e.kind = AuditEventKind::kDenial;
+  e.scope = query_tag();
+  e.stream = options_.output_stream_name;
+  e.tuple_id = std::max(left.tid, right.tid);
+  e.sp_ts = std::max(left_policy->ts(), right_policy->ts());
+  e.roles = denial_roles_text_;
+  static const AuditText kDetail =
+      "join policies incompatible (empty intersection)";
+  e.detail = kDetail;
+  log->Append(std::move(e));
+}
+
 void SaJoinBase::EmitJoinResult(const Tuple& left, const Tuple& right,
-                                const Policy& left_policy,
-                                const Policy& right_policy) {
+                                const PolicyPtr& left_policy,
+                                const PolicyPtr& right_policy) {
   // Intersect the base tuples' policies; incompatible policies discard the
   // result (Table I join semantics).
   RoleSet out_roles =
-      RoleSet::Intersect(left_policy.allowed(), right_policy.allowed());
+      RoleSet::Intersect(left_policy->allowed(), right_policy->allowed());
   if (out_roles.Empty()) {
     ++metrics_.tuples_dropped_security;
-    if (AuditLog* log = audit()) {
-      AuditJoinDenial(log, *this, options_.output_stream_name, left, right,
-                      left_policy, right_policy, *ctx_->roles);
-    }
+    AuditJoinDenial(left, right, left_policy, right_policy);
     return;
   }
   const Timestamp out_ts = std::max(left.ts, right.ts);
@@ -176,17 +182,14 @@ void SaJoinNl::Probe(const Tuple& t, const PolicyPtr& t_policy,
           SaJoinOptions::ProbeMethod::kProbeAndFilter) {
         if (!t_policy->allowed().Intersects(seg.policy->allowed())) {
           ++metrics_.tuples_dropped_security;
-          if (AuditLog* log = audit()) {
-            AuditJoinDenial(log, *this, options_.output_stream_name, t, u,
-                            *t_policy, *seg.policy, *ctx_->roles);
-          }
+          AuditJoinDenial(t, u, t_policy, seg.policy);
           continue;
         }
       }
       if (from_port == 0) {
-        EmitJoinResult(t, u, *t_policy, *seg.policy);
+        EmitJoinResult(t, u, t_policy, seg.policy);
       } else {
-        EmitJoinResult(u, t, *seg.policy, *t_policy);
+        EmitJoinResult(u, t, seg.policy, t_policy);
       }
     }
   }
@@ -413,9 +416,9 @@ void SaJoinIndex::Probe(const Tuple& t, const PolicyPtr& t_policy,
   const bool lookup = options_.use_skipping_rule && key.is_i64;
   auto emit = [&](const Tuple& u, const Segment& seg) {
     if (from_port == 0) {
-      EmitJoinResult(t, u, *t_policy, *seg.policy);
+      EmitJoinResult(t, u, t_policy, seg.policy);
     } else {
-      EmitJoinResult(u, t, *seg.policy, *t_policy);
+      EmitJoinResult(u, t, seg.policy, t_policy);
     }
   };
   entries_scanned_ += static_cast<int64_t>(indexes_[opp].Probe(

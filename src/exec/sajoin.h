@@ -17,6 +17,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/audit_log.h"
 #include "exec/operator.h"
 #include "exec/policy_tracker.h"
 #include "exec/sp_synth.h"
@@ -110,7 +111,14 @@ class SaJoinBase : public Operator {
   /// checked here): intersects the base policies, discards on empty, and
   /// precedes output with a synthesized sp when the policy changed.
   void EmitJoinResult(const Tuple& left, const Tuple& right,
-                      const Policy& left_policy, const Policy& right_policy);
+                      const PolicyPtr& left_policy,
+                      const PolicyPtr& right_policy);
+
+  /// \brief Audit record for a join result suppressed by incompatible base
+  /// policies; its "A∩B" roles text is rendered once per policy pair.
+  void AuditJoinDenial(const Tuple& left, const Tuple& right,
+                       const PolicyPtr& left_policy,
+                       const PolicyPtr& right_policy);
 
   /// \brief Key value of a tuple on the given port.
   const Value& KeyOf(const Tuple& t, int port) const {
@@ -132,6 +140,10 @@ class SaJoinBase : public Operator {
   Timestamp ckpt_emitter_ts_ = kMinTimestamp;
   Timestamp pending_tracker_ts_[2] = {kMinTimestamp, kMinTimestamp};
   Timestamp pending_emitter_ts_ = kMinTimestamp;
+  // The policy pair of the last join denial (held, so the addresses cannot
+  // be reused) and its rendered roles text.
+  PolicyPtr denial_policies_[2];
+  AuditText denial_roles_text_;
 };
 
 /// \brief Nested-loop SAJoin (§V.B.1).

@@ -148,7 +148,7 @@ bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
       if (!memo_authorized_) {
         ++metrics_.tuples_dropped_security;
         if (audit() != nullptr) {
-          AuditDenial(batch.MaterializeTuple(r), *memo_policy_);
+          AuditDenial(batch.tid_at(r), memo_policy_);
         }
         continue;
       }
@@ -238,8 +238,10 @@ void SsOperator::HandleSp(StreamElement& elem) {
     e.stream = options_.stream_name;
     e.sp_ts = sp_ts;
     e.roles = sp.roles().ToString(*ctx_->roles);
-    e.detail = std::string(sp.sign() == Sign::kPositive ? "+" : "-") +
-               (sp.immutable() ? " immutable" : "");
+    // [negative][immutable]: the four texts are shared by every install.
+    static const AuditText kSignText[2][2] = {{"+", "+ immutable"},
+                                              {"-", "- immutable"}};
+    e.detail = kSignText[sp.sign() == Sign::kNegative][sp.immutable()];
     e.trace_id = SpTraceIdIfOn(sp_ts);
     log->Append(std::move(e));
   }
@@ -255,20 +257,28 @@ void SsOperator::HandleSp(StreamElement& elem) {
   UpdateStateBytes();
 }
 
-void SsOperator::AuditDenial(const Tuple& t, const Policy& policy) {
+void SsOperator::AuditDenial(TupleId tid, const PolicyPtr& policy) {
   if (AuditLog* log = audit()) {
     // The record answers "who was denied what, under which policy": the
     // query (scope + its role predicate), the tuple, and the responsible
     // sp-batch (its ts is the sp id) with the roles it authorizes.
+    const RoleCatalog& roles = *ctx_->roles;
+    if (predicate_text_.empty()) {
+      predicate_text_ = state_.predicate_union().ToString(roles);
+    }
+    if (policy != detail_policy_) {
+      detail_policy_ = policy;
+      detail_text_ = "policy allows " + policy->allowed().ToString(roles);
+    }
     AuditEvent e;
     e.kind = AuditEventKind::kDenial;
     e.scope = query_tag();
     e.stream = options_.stream_name;
-    e.tuple_id = t.tid;
-    e.sp_ts = policy.ts();
-    e.roles = state_.predicate_union().ToString(*ctx_->roles);
-    e.detail = "policy allows " + policy.allowed().ToString(*ctx_->roles);
-    e.trace_id = SpTraceIdIfOn(policy.ts());
+    e.tuple_id = tid;
+    e.sp_ts = policy->ts();
+    e.roles = predicate_text_;
+    e.detail = detail_text_;
+    e.trace_id = SpTraceIdIfOn(policy->ts());
     log->Append(std::move(e));
   }
 }
@@ -286,7 +296,7 @@ void SsOperator::HandleTuple(StreamElement& elem) {
     // first.
     if (!memo_authorized_) {
       ++metrics_.tuples_dropped_security;
-      AuditDenial(t, *memo_policy_);
+      AuditDenial(t.tid, memo_policy_);
       return;
     }
     if (!pending_emitted_) {
@@ -362,7 +372,7 @@ bool SsOperator::DecideTupleSlowPath(Tuple& t) {
 
   if (!authorized) {
     ++metrics_.tuples_dropped_security;
-    AuditDenial(t, *policy);
+    AuditDenial(t.tid, policy);
     return false;
   }
   return true;

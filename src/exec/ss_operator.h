@@ -12,6 +12,7 @@
 
 #include <optional>
 
+#include "common/audit_log.h"
 #include "exec/operator.h"
 #include "exec/policy_tracker.h"
 
@@ -103,7 +104,9 @@ class SsOperator : public Operator {
   /// Null out attributes of `t` the predicate roles may not read; returns
   /// false when nothing remains visible (tuple must drop).
   bool ApplyAttributeMask(Tuple* t);
-  void AuditDenial(const Tuple& t, const Policy& policy);
+  /// Denial record of tuple `tid` under `policy`. The role texts come from
+  /// the caches below, so a run of denials renders nothing.
+  void AuditDenial(TupleId tid, const PolicyPtr& policy);
 
   SsOptions options_;
   SsState state_;
@@ -124,6 +127,14 @@ class SsOperator : public Operator {
   bool memo_valid_ = false;
   bool memo_authorized_ = false;
   PolicyPtr memo_policy_;
+  // Audit text, rendered once per value instead of once per event: the
+  // predicate union's roles (fixed at construction; rendered at the first
+  // denial, since the audit log is wired up after the plan is built) and
+  // the "policy allows ..." detail of the last denying policy, keyed on its
+  // shared pointer (held, so the address cannot be reused).
+  AuditText predicate_text_;
+  PolicyPtr detail_policy_;
+  AuditText detail_text_;
   // Checkpoint cursor: tracker batch ts at the last durable checkpoint and
   // the ts staged by the last CheckpointState call.
   Timestamp ckpt_ts_ = kMinTimestamp;
