@@ -82,13 +82,14 @@ SsOperator::SsOperator(ExecContext* ctx, SsOptions options, std::string label)
     : Operator(ctx, std::move(label)),
       options_(std::move(options)),
       state_(options_),
+      state_bytes_(state_.MemoryBytes()),
       tracker_(ctx->roles, options_.stream_name) {
   UpdateStateBytes();
 }
 
 void SsOperator::UpdateStateBytes() {
   metrics_.NoteStateBytes(static_cast<int64_t>(
-      state_.MemoryBytes() + tracker_.MemoryBytes() +
+      state_bytes_ + tracker_.MemoryBytes() +
       pending_sps_.capacity() * sizeof(SecurityPunctuation)));
 }
 

@@ -110,6 +110,9 @@ class SsOperator : public Operator {
 
   SsOptions options_;
   SsState state_;
+  // state_.MemoryBytes(), walked once: the SS state never changes after
+  // construction, and the gauge is refreshed on every install.
+  const size_t state_bytes_;
   PolicyTracker tracker_;
   // Sps of the newest batch, held until the segment's first authorized
   // tuple; emitted_ flags whether they already went downstream.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "test_util.h"
 
 namespace spstream {
@@ -226,6 +229,56 @@ TEST_F(SsOperatorTest, MatchingPredicatesRouting) {
   opts.use_predicate_index = false;
   SsState scan_state(opts);
   EXPECT_EQ(scan_state.MatchingPredicates(p), matches);
+}
+
+// The state gauge adds the SsState bytes, walked once at construction, to
+// the tracker's and the held sps' bytes at every install. Replaying the sp
+// sequence on a reference tracker and a mirror of the held-sp buffer gives
+// the full walk; the gauge's peak must equal it.
+TEST_F(SsOperatorTest, StateBytesGaugeEqualsFullWalk) {
+  std::vector<StreamElement> input;
+  input.emplace_back(MakeSp("s", {ids_[0]}, 1));
+  input.emplace_back(MakeTuple(1, {1, 2}, 1));
+  input.emplace_back(MakeSp("s", {ids_[1]}, 5));
+  input.emplace_back(MakeSp("s", {ids_[2], ids_[3]}, 5));
+  input.emplace_back(MakeTuple(2, {3, 4}, 5));
+  input.emplace_back(MakeSp("s", {ids_[4]}, 9));
+  input.emplace_back(MakeTuple(3, {5, 6}, 9));
+  const SsOptions options =
+      Options({RoleSet::FromIds({ids_[0], ids_[2]}),
+               RoleSet::FromIds({ids_[5], ids_[9], ids_[12]})});
+
+  const SsState state(options);
+  PolicyTracker tracker(&roles_, "s");
+  std::vector<SecurityPunctuation> held;
+  std::optional<Timestamp> held_ts;
+  auto walk = [&] {
+    return static_cast<int64_t>(
+        state.MemoryBytes() + tracker.MemoryBytes() +
+        held.capacity() * sizeof(SecurityPunctuation));
+  };
+  int64_t peak = walk();
+  for (const StreamElement& e : input) {
+    if (e.is_tuple()) {
+      tracker.PolicyFor(e.tuple());
+      continue;
+    }
+    ASSERT_TRUE(tracker.OnSp(e.sp()));
+    if (held_ts != e.sp().ts()) {
+      held.clear();
+      held_ts = e.sp().ts();
+    }
+    held.push_back(e.sp());
+    peak = std::max(peak, walk());
+  }
+
+  Pipeline pipeline(&ctx_);
+  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* ss = pipeline.Add<SsOperator>(options);
+  src->AddOutput(ss);
+  ss->AddOutput(pipeline.Add<CollectorSink>());
+  pipeline.Run();
+  EXPECT_EQ(ss->metrics().peak_state_bytes, peak);
 }
 
 }  // namespace
