@@ -240,6 +240,15 @@ class DistanceExpr final : public Expr {
     x2_->CollectColumns(out);
     y2_->CollectColumns(out);
   }
+  int CompileColumnar(ColumnarPredicateBuilder* builder) const override {
+    int ids[4];
+    const ExprPtr* operands[4] = {&x1_, &y1_, &x2_, &y2_};
+    for (int k = 0; k < 4; ++k) {
+      ids[k] = (*operands[k])->CompileColumnar(builder);
+      if (ids[k] < 0) return -1;
+    }
+    return builder->AddDistance(ids[0], ids[1], ids[2], ids[3]);
+  }
 
  private:
   ExprPtr x1_, y1_, x2_, y2_;

@@ -65,7 +65,7 @@ class Expr {
 
   /// \brief Register this subtree with a columnar predicate compiler
   /// (exec/vector_eval.h) and return its node id, or -1 when the node kind
-  /// has no vectorized form (arithmetic, distance) — the caller then keeps
+  /// has no vectorized form (arithmetic) — the caller then keeps
   /// the scalar per-element path. Compiled programs must reproduce
   /// Eval/EvalBool (and therefore Value::Compare) semantics exactly.
   virtual int CompileColumnar(ColumnarPredicateBuilder* builder) const {
@@ -83,6 +83,7 @@ class ColumnarPredicateBuilder {
   virtual int AddLiteral(const Value& v) = 0;
   virtual int AddCompare(Expr::CmpOp op, int lhs, int rhs) = 0;
   virtual int AddLogical(Expr::LogicalOp op, int lhs, int rhs) = 0;
+  virtual int AddDistance(int x1, int y1, int x2, int y2) = 0;
 };
 
 const char* CmpOpToString(Expr::CmpOp op);

@@ -93,7 +93,7 @@ void PolicyTracker::FinalizeOpenBatch() {
   }
 }
 
-PolicyPtr PolicyTracker::PolicyFor(const Tuple& t) {
+PolicyPtr PolicyTracker::PolicyFor(TupleId tid) {
   FinalizeOpenBatch();
   if (batch_covers_all_ || current_batch_.empty()) {
     return current_policy_;
@@ -106,7 +106,7 @@ PolicyPtr PolicyTracker::PolicyFor(const Tuple& t) {
   for (const SecurityPunctuation& sp : current_batch_) {
     const bool applies = sp.CoversWholeTuple() &&
                          sp.AppliesToStream(stream_name_) &&
-                         sp.AppliesToTupleId(t.tid);
+                         sp.AppliesToTupleId(tid);
     all_apply = all_apply && applies;
     any_apply = any_apply || applies;
   }
@@ -123,7 +123,7 @@ PolicyPtr PolicyTracker::PolicyFor(const Tuple& t) {
   RoleSet positive, negative;
   for (const SecurityPunctuation& sp : current_batch_) {
     if (!sp.AppliesToStream(stream_name_)) continue;
-    if (!sp.AppliesToTupleId(t.tid)) continue;
+    if (!sp.AppliesToTupleId(tid)) continue;
     if (!sp.CoversWholeTuple()) continue;  // attribute policies mask, below
     if (sp.sign() == Sign::kPositive) {
       positive.UnionWith(sp.roles());

@@ -38,7 +38,10 @@ class PolicyTracker {
   /// \brief Policy applicable to an arriving tuple (finalizes any open
   /// batch first). Cheap when the batch covers all tuples of this stream;
   /// falls back to per-tuple DDP evaluation otherwise.
-  PolicyPtr PolicyFor(const Tuple& t);
+  PolicyPtr PolicyFor(const Tuple& t) { return PolicyFor(t.tid); }
+  /// \brief The same decision from the tuple id alone (tuple-granularity
+  /// DDPs match only the id), for callers that hold no materialized tuple.
+  PolicyPtr PolicyFor(TupleId tid);
 
   /// \brief The whole-batch policy currently in force (after finalization),
   /// ignoring per-tuple DDP narrowing.

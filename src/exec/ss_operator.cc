@@ -158,13 +158,15 @@ bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
       sel.push_back(r);
       continue;
     }
-    // Slow path: materialize this row, decide exactly as the per-element
-    // path would, and write any masking nulls back into the validity
-    // bitmap (masking only ever nulls values, so SetNull covers it).
-    Tuple t = batch.MaterializeTuple(r);
-    const bool authorized = DecideTupleSlowPath(t);
-    if (!authorized) continue;
-    if (options_.mask_attributes) {
+    // Slow path: decide exactly as the per-element path would. Only
+    // masking reads the values: then materialize this row and write any
+    // masking nulls back into the validity bitmap (masking only ever nulls
+    // values, so SetNull covers it).
+    if (!options_.mask_attributes) {
+      if (!DecideTupleSlowPath(batch.tid_at(r), nullptr)) continue;
+    } else {
+      Tuple t = batch.MaterializeTuple(r);
+      if (!DecideTupleSlowPath(t.tid, &t)) continue;
       std::vector<ColumnVector>& cols = batch.mutable_columns();
       for (size_t i = 0; i < t.values.size() && i < cols.size(); ++i) {
         if (t.values[i].is_null()) cols[i].SetNull(r);
@@ -311,7 +313,7 @@ void SsOperator::HandleTuple(StreamElement& elem) {
     return;
   }
 
-  if (!DecideTupleSlowPath(t)) return;
+  if (!DecideTupleSlowPath(t.tid, &t)) return;
   if (!pending_emitted_) {
     pending_emitted_ = true;
     for (SecurityPunctuation& sp : pending_sps_) {
@@ -322,10 +324,10 @@ void SsOperator::HandleTuple(StreamElement& elem) {
   EmitTuple(std::move(t));
 }
 
-bool SsOperator::DecideTupleSlowPath(Tuple& t) {
+bool SsOperator::DecideTupleSlowPath(TupleId tid, Tuple* t) {
   // PolicyFor finalizes any open sp-batch (and thereby decides whether the
   // batch carries attribute-granularity policies).
-  const PolicyPtr policy = tracker_.PolicyFor(t);
+  const PolicyPtr policy = tracker_.PolicyFor(tid);
   if (tracker_.fail_closed_installs() != seen_fail_closed_installs_) {
     // The batch never took effect: the stream is denied-all until a fresh
     // batch installs cleanly. The held sps must not propagate downstream —
@@ -351,7 +353,7 @@ bool SsOperator::DecideTupleSlowPath(Tuple& t) {
       options_.mask_attributes && tracker_.has_attribute_policies();
   bool authorized;
   if (masking) {
-    authorized = ApplyAttributeMask(&t);
+    authorized = ApplyAttributeMask(t);
   } else {
     authorized = state_.Matches(*policy);
   }
@@ -373,7 +375,7 @@ bool SsOperator::DecideTupleSlowPath(Tuple& t) {
 
   if (!authorized) {
     ++metrics_.tuples_dropped_security;
-    AuditDenial(t.tid, policy);
+    AuditDenial(tid, policy);
     return false;
   }
   return true;

@@ -95,11 +95,13 @@ class SsOperator : public Operator {
  private:
   void HandleSp(StreamElement& elem);
   void HandleTuple(StreamElement& elem);
-  /// Shared decision slow path (memo invalid): resolve the policy, check
-  /// fail-closed installs, apply attribute masking (mutates `t`), refresh
-  /// the memo and trace/audit/drop accounting. Returns whether `t` passes.
-  /// Does NOT count tuples_in and does NOT emit.
-  bool DecideTupleSlowPath(Tuple& t);
+  /// Shared decision slow path (memo invalid): resolve the policy of tuple
+  /// `tid`, check fail-closed installs, apply attribute masking (mutates
+  /// `*t`), refresh the memo and trace/audit/drop accounting. Returns
+  /// whether the tuple passes. `t` may be null unless mask_attributes is
+  /// set: without masking the decision reads only the tuple id. Does NOT
+  /// count tuples_in and does NOT emit.
+  bool DecideTupleSlowPath(TupleId tid, Tuple* t);
   void UpdateStateBytes();
   /// Null out attributes of `t` the predicate roles may not read; returns
   /// false when nothing remains visible (tuple must drop).

@@ -1,5 +1,7 @@
 #include "exec/vector_eval.h"
 
+#include <cmath>
+
 namespace spstream {
 
 bool VectorPredicate::Compile(const Expr& root) {
@@ -49,6 +51,17 @@ int VectorPredicate::AddLogical(Expr::LogicalOp op, int lhs, int rhs) {
   }
   n.a = lhs;
   n.b = rhs;
+  nodes_.push_back(std::move(n));
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+int VectorPredicate::AddDistance(int x1, int y1, int x2, int y2) {
+  Node n;
+  n.op = Node::Op::kDistance;
+  n.a = x1;
+  n.b = y1;
+  n.c = x2;
+  n.d = y2;
   nodes_.push_back(std::move(n));
   return static_cast<int>(nodes_.size()) - 1;
 }
@@ -108,6 +121,19 @@ VectorPredicate::View VectorPredicate::ViewOf(int id,
         v.rank = 3;
         v.b = lit.boolean();
       }
+      return v;
+    }
+    case Node::Op::kDistance: {
+      // DistanceExpr::Eval: a double from Value::AsDouble of each operand
+      // (numerics as double, bools 0/1, nulls and strings 0).
+      auto operand = [&](int k) {
+        const View o = ViewOf(k, batch, row);
+        return o.rank == 1 ? o.d : (o.rank == 3 && o.b ? 1.0 : 0.0);
+      };
+      const double dx = operand(n.a) - operand(n.c);
+      const double dy = operand(n.b) - operand(n.d);
+      v.rank = 1;
+      v.d = std::sqrt(dx * dx + dy * dy);
       return v;
     }
     default:
@@ -174,7 +200,8 @@ bool VectorPredicate::TestNode(int id, const ElementBatch& batch,
     case Node::Op::kNot:
       return !TestNode(n.a, batch, row);
     case Node::Op::kColumn:
-    case Node::Op::kLiteral: {
+    case Node::Op::kLiteral:
+    case Node::Op::kDistance: {
       // EvalBool truthiness of a bare value: bool -> itself, null ->
       // false, otherwise AsDouble() != 0 (strings are always falsy).
       const View v = ViewOf(id, batch, row);

@@ -1,13 +1,15 @@
 // Vectorized predicate evaluation over columnar ElementBatches: an Expr
-// tree of column refs, literals, comparisons and boolean connectives is
-// compiled once into a flat node program, then tested per row straight
-// against the column arrays — no Tuple, no per-row Value construction.
+// tree of column refs, literals, comparisons, boolean connectives and
+// DISTANCE is compiled once into a flat node program, then tested per row
+// straight against the column arrays — no Tuple, no per-row Value
+// construction.
 //
 // The program reproduces the scalar semantics bit for bit: Value::Compare's
 // total order (nulls first, cross-kind ordered null < numeric < string <
 // bool, numerics promoted to double unless both int64) and EvalBool's
 // truthiness (bool -> itself, null -> false, otherwise AsDouble() != 0,
-// which makes any string falsy). tests/columnar_fuzz_test.cc holds the two
+// which makes any string falsy). DISTANCE takes AsDouble() of each operand
+// (null and strings 0, bools 0/1). tests/columnar_fuzz_test.cc holds the two
 // paths equal on random inputs.
 #pragma once
 
@@ -36,13 +38,24 @@ class VectorPredicate : public ColumnarPredicateBuilder {
   int AddLiteral(const Value& v) override;
   int AddCompare(Expr::CmpOp op, int lhs, int rhs) override;
   int AddLogical(Expr::LogicalOp op, int lhs, int rhs) override;
+  int AddDistance(int x1, int y1, int x2, int y2) override;
 
  private:
   struct Node {
-    enum class Op : uint8_t { kColumn, kLiteral, kCompare, kAnd, kOr, kNot };
+    enum class Op : uint8_t {
+      kColumn,
+      kLiteral,
+      kCompare,
+      kAnd,
+      kOr,
+      kNot,
+      kDistance,
+    };
     Op op = Op::kLiteral;
     int a = -1;
     int b = -1;
+    int c = -1;  // kDistance only: operands a, b, c, d = x1, y1, x2, y2
+    int d = -1;
     int col = -1;
     Value lit;
     Expr::CmpOp cmp = Expr::CmpOp::kEq;

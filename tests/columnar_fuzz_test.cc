@@ -12,7 +12,8 @@
 //  * SaJoinNl fed by hand with identical port interleavings, one-element
 //    row PushBatch calls vs columnar PushBatch (the join has no columnar
 //    kernel, so this pins the decay of columnar input);
-//  * VectorPredicate::Test vs Expr::EvalBool on random predicate trees;
+//  * VectorPredicate::Test vs Expr::EvalBool on random predicate trees,
+//    DISTANCE trees included (and SaSelect over them);
 //  * random ascending selection vectors, DecayToRows vs a hand-built
 //    expected interleave of live rows and specials.
 #include <gtest/gtest.h>
@@ -209,6 +210,54 @@ ExprPtr RandomPredicate(Rng* rng, const RandomSchema& rs, int depth) {
   return Expr::Compare(kOps[rng->NextBounded(6)],
                        Expr::Column(static_cast<int>(col)),
                        Expr::Literal(RandomValueOfType(rng, lit_type, 0.1)));
+}
+
+/// An operand of DISTANCE: a column or literal of any type (nulls and
+/// strings read as 0, bools as 0/1), a comparison (a bool), or a nested
+/// DISTANCE.
+ExprPtr RandomDistanceOperand(Rng* rng, const RandomSchema& rs, int depth) {
+  constexpr ValueType kTypes[] = {ValueType::kInt64, ValueType::kDouble,
+                                  ValueType::kString, ValueType::kBool};
+  switch (rng->NextBounded(depth > 0 ? 5 : 4)) {
+    case 0:
+    case 1:
+      return Expr::Column(static_cast<int>(
+          rng->NextBounded(rs.col_types.size())));
+    case 2:
+      return Expr::Literal(
+          RandomValueOfType(rng, kTypes[rng->NextBounded(4)], 0.1));
+    case 3:
+      return RandomPredicate(rng, rs, 0);
+    default:
+      return Expr::Distance(RandomDistanceOperand(rng, rs, depth - 1),
+                            RandomDistanceOperand(rng, rs, depth - 1),
+                            RandomDistanceOperand(rng, rs, depth - 1),
+                            RandomDistanceOperand(rng, rs, depth - 1));
+  }
+}
+
+/// The region-query shape DISTANCE(...) <op> literal, sometimes the
+/// literal on the left, sometimes a bare DISTANCE (EvalBool truthiness),
+/// sometimes joined with an ordinary random predicate.
+ExprPtr RandomDistancePredicate(Rng* rng, const RandomSchema& rs) {
+  ExprPtr dist = Expr::Distance(RandomDistanceOperand(rng, rs, 1),
+                                RandomDistanceOperand(rng, rs, 1),
+                                RandomDistanceOperand(rng, rs, 1),
+                                RandomDistanceOperand(rng, rs, 1));
+  if (rng->NextBool(0.1)) return dist;
+  constexpr Expr::CmpOp kOps[] = {Expr::CmpOp::kEq, Expr::CmpOp::kNe,
+                                  Expr::CmpOp::kLt, Expr::CmpOp::kLe,
+                                  Expr::CmpOp::kGt, Expr::CmpOp::kGe};
+  constexpr ValueType kLitTypes[] = {ValueType::kInt64, ValueType::kDouble,
+                                     ValueType::kInt64, ValueType::kDouble,
+                                     ValueType::kString};
+  ExprPtr lit = Expr::Literal(
+      RandomValueOfType(rng, kLitTypes[rng->NextBounded(5)], 0.05));
+  const Expr::CmpOp op = kOps[rng->NextBounded(6)];
+  ExprPtr cmp = rng->NextBool(0.8) ? Expr::Compare(op, dist, lit)
+                                   : Expr::Compare(op, lit, dist);
+  if (rng->NextBool(0.2)) return Expr::And(cmp, RandomPredicate(rng, rs, 1));
+  return cmp;
 }
 
 // ---- drivers ---------------------------------------------------------
@@ -450,6 +499,49 @@ TEST_F(ColumnarFuzzTest, VectorPredicateMatchesEvalBool) {
           << "seed " << seed << " row " << r << " tuple "
           << tuples[r].ToString();
     }
+  }
+}
+
+TEST_F(ColumnarFuzzTest, VectorDistanceMatchesEvalBool) {
+  for (size_t seed = 0; seed < kCasesPerSuite * 4; ++seed) {
+    Rng rng(13500 + seed);
+    RandomSchema rs = MakeRandomSchema(&rng, "s");
+    rs.type_chaos = false;
+    ElementBatch batch;
+    batch.BeginColumnar();
+    std::vector<Tuple> tuples;
+    for (size_t i = 0; i < 64; ++i) {
+      tuples.push_back(RandomTuple(&rng, rs, static_cast<TupleId>(i), 1));
+      batch.push_back(StreamElement(tuples.back()));
+    }
+    ASSERT_TRUE(batch.is_columnar());
+    const ExprPtr expr = RandomDistancePredicate(&rng, rs);
+    VectorPredicate pred;
+    ASSERT_TRUE(pred.Compile(*expr)) << "seed " << seed;
+    for (size_t r = 0; r < tuples.size(); ++r) {
+      EXPECT_EQ(pred.Test(batch, static_cast<uint32_t>(r)),
+                expr->EvalBool(tuples[r]))
+          << "seed " << seed << " row " << r << " expr " << expr->ToString()
+          << " tuple " << tuples[r].ToString();
+    }
+  }
+}
+
+TEST_F(ColumnarFuzzTest, SelectDistanceKernelMatchesScalarPath) {
+  for (size_t seed = 0; seed < kCasesPerSuite; ++seed) {
+    Rng rng(13700 + seed);
+    const RandomSchema rs = MakeRandomSchema(&rng, "s");
+    const auto input = RandomStream(&rng, rs, "s", ids_, 200);
+    const ExprPtr pred = RandomDistancePredicate(&rng, rs);
+    const size_t batch = RandomBatchSize(&rng);
+    auto chain = [&](Pipeline* p) {
+      return std::vector<Operator*>{p->Add<SaSelect>(pred)};
+    };
+    ExpectSameSequence(
+        RunChainRendered(&ctx_, input, chain, batch),
+        RunChainRendered(&ctx_, input, chain, 1),
+        "seed " + std::to_string(seed) + " batch " + std::to_string(batch) +
+            " " + pred->ToString());
   }
 }
 
