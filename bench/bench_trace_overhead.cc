@@ -4,13 +4,23 @@
 // but disabled (the shipping default: every span site is two predictable
 // branches), and (b) with tracing enabled at sample rates 1/1, 1/8 and
 // 1/64. The contract is <3% throughput cost with tracing enabled at the
-// default CLI rate (1/1) and noise-level cost when disabled. Emits a
-// machine-readable summary to stdout, BENCH_trace_overhead.json in the
-// working directory, and SPSTREAM_BENCH_JSON_DIR when set.
+// default CLI rate (1/1) and noise-level cost when disabled.
+//
+// The security audit log is measured the same way: a denial-heavy shared
+// select (the perfbench enforce_select shape: moving objects, an sp every
+// 10 tuples granting 4 of 100 roles, 8 subjects with distinct role pairs
+// sharing one region query) with EngineOptions::enable_audit off and on;
+// the difference is audit_overhead_pct.
+//
+// Emits a machine-readable summary to stdout, BENCH_trace_overhead.json in
+// the working directory, and SPSTREAM_BENCH_JSON_DIR when set.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,6 +28,8 @@
 #include "common/trace.h"
 #include "engine/engine.h"
 #include "security/security_punctuation.h"
+#include "workload/moving_objects.h"
+#include "workload/road_network.h"
 
 namespace spstream::bench {
 namespace {
@@ -145,7 +157,99 @@ OverheadResult RunMode(const Mode& mode) {
   return res;
 }
 
-std::string ToJson(const std::vector<OverheadResult>& results) {
+// ---- audit overhead ------------------------------------------------------
+
+constexpr size_t kAuditTuplesPerEpoch = 200;
+constexpr int kAuditTuplesPerSp = 10;
+constexpr size_t kAuditRolesPerSp = 4;
+constexpr size_t kAuditRolePool = 100;
+constexpr size_t kAuditSubjects = 8;
+constexpr size_t kAuditEpochsPerRep = 1500;
+constexpr size_t kAuditWarmupEpochs = 200;
+constexpr int kAuditReps = 5;
+const char kAuditQuery[] =
+    "SELECT object_id, x, y FROM Location "
+    "WHERE DISTANCE(x, y, 1450, 1450) <= 1200";
+
+struct AuditResult {
+  bool enable_audit = false;
+  double tuples_per_sec = 0;
+  int64_t denials = 0;  // tuples dropped by the shields over the run
+  RepStats stats;
+};
+
+/// Shared select with the audit log on or off. Each epoch is generated
+/// outside the timed span; only Push, Run and taking results are timed.
+AuditResult RunAuditMode(bool enable_audit) {
+  Tracer::Global().Disable();
+  EngineOptions opts;
+  opts.share_plans = true;
+  opts.enable_audit = enable_audit;
+  SpStreamEngine engine(std::move(opts));
+  MovingObjectsGenerator::SeedRoles(engine.roles(), kAuditRolePool);
+  (void)engine.RegisterStream(
+      MovingObjectsGenerator::LocationSchema("Location"));
+  Rng rng(2019);
+  std::set<std::pair<RoleId, RoleId>> used;
+  std::vector<QueryId> queries;
+  while (queries.size() < kAuditSubjects) {
+    const RoleId a = static_cast<RoleId>(rng.NextBounded(kAuditRolePool));
+    const RoleId b = static_cast<RoleId>(rng.NextBounded(kAuditRolePool));
+    if (a == b || !used.insert(std::minmax(a, b)).second) continue;
+    const std::string subject = "subject" + std::to_string(queries.size());
+    (void)engine.RegisterSubject(subject, {"r" + std::to_string(a + 1),
+                                           "r" + std::to_string(b + 1)});
+    queries.push_back(engine.RegisterQuery(subject, kAuditQuery).value());
+  }
+  RoadNetworkOptions net;
+  net.grid_width = 30;
+  net.grid_height = 30;
+  const RoadNetwork network = RoadNetwork::Grid(net);
+
+  int64_t epoch = 0;
+  auto run_epoch = [&] {
+    MovingObjectsOptions mo;
+    mo.num_objects = kAuditTuplesPerEpoch;
+    mo.num_updates = kAuditTuplesPerEpoch;
+    mo.tuples_per_sp = kAuditTuplesPerSp;
+    mo.roles_per_policy = kAuditRolesPerSp;
+    mo.role_pool = kAuditRolePool;
+    mo.seed = 100 + static_cast<uint64_t>(epoch);
+    mo.start_ts = 1 + epoch * static_cast<int64_t>(kAuditTuplesPerEpoch);
+    ++epoch;
+    std::vector<StreamElement> elements =
+        MovingObjectsGenerator(engine.roles(), network, mo).Generate();
+    const int64_t start = NowNanos();
+    (void)engine.Push("Location", std::move(elements));
+    (void)engine.Run();
+    for (QueryId q : queries) (void)engine.TakeResults(q);
+    return NowNanos() - start;
+  };
+  AuditResult res;
+  res.enable_audit = enable_audit;
+  res.stats = MeasureReps(
+      kAuditReps,
+      /*warmup=*/
+      [&] {
+        for (size_t e = 0; e < kAuditWarmupEpochs; ++e) run_epoch();
+      },
+      /*timed_rep=*/
+      [&] {
+        int64_t ns = 0;
+        for (size_t e = 0; e < kAuditEpochsPerRep; ++e) ns += run_epoch();
+        return static_cast<double>(ns) / 1e9;
+      });
+  res.tuples_per_sec =
+      static_cast<double>(kAuditEpochsPerRep * kAuditTuplesPerEpoch) /
+      res.stats.Min();
+  res.denials =
+      engine.SnapshotMetrics().engine_totals.tuples_dropped_security;
+  return res;
+}
+
+std::string ToJson(const std::vector<OverheadResult>& results,
+                   const std::vector<AuditResult>& audit,
+                   double audit_overhead_pct) {
   std::ostringstream os;
   os << "{\"bench\":\"trace_overhead\",\"config\":{\"epochs\":" << kEpochs
      << ",\"tuples_per_epoch_per_stream\":" << kTuplesPerEpoch
@@ -163,7 +267,24 @@ std::string ToJson(const std::vector<OverheadResult>& results) {
        << ",\"overhead_pct\":" << r.overhead_pct
        << ",\"results\":" << r.results << "}";
   }
-  os << "]}";
+  os << "],\"audit\":{\"config\":{\"tuples_per_epoch\":"
+     << kAuditTuplesPerEpoch << ",\"tuples_per_sp\":" << kAuditTuplesPerSp
+     << ",\"roles_per_sp\":" << kAuditRolesPerSp
+     << ",\"role_pool\":" << kAuditRolePool
+     << ",\"subjects\":" << kAuditSubjects
+     << ",\"share_plans\":true,\"epochs_per_rep\":" << kAuditEpochsPerRep
+     << ",\"warmup_epochs\":" << kAuditWarmupEpochs
+     << ",\"reps\":" << kAuditReps << "},\"results\":[";
+  for (size_t i = 0; i < audit.size(); ++i) {
+    const AuditResult& r = audit[i];
+    if (i) os << ",";
+    os << "{\"mode\":\"" << (r.enable_audit ? "audit_on" : "audit_off")
+       << "\",";
+    AppendRepStatsJson(os, r.stats);
+    os << ",\"tuples_per_sec\":" << r.tuples_per_sec
+       << ",\"denials\":" << r.denials << "}";
+  }
+  os << "],\"audit_overhead_pct\":" << audit_overhead_pct << "}}";
   return os.str();
 }
 
@@ -197,7 +318,22 @@ int main() {
              2);
   }
 
-  const std::string json = ToJson(results);
+  const std::vector<AuditResult> audit = {RunAuditMode(false),
+                                          RunAuditMode(true)};
+  const double audit_overhead_pct =
+      100.0 * (audit[0].tuples_per_sec - audit[1].tuples_per_sec) /
+      audit[0].tuples_per_sec;
+  PrintHeader("Audit overhead",
+              "tuples/sec of a denial-heavy shared select by audit log state");
+  PrintLegend("mode", {"tuples/s", "overhead %", "stddev(ms)", "denials"});
+  for (const AuditResult& r : audit) {
+    PrintRow(r.enable_audit ? "audit_on" : "audit_off",
+             {r.tuples_per_sec, r.enable_audit ? audit_overhead_pct : 0.0,
+              r.stats.Stddev() * 1e3, static_cast<double>(r.denials)},
+             2);
+  }
+
+  const std::string json = ToJson(results, audit, audit_overhead_pct);
   std::cout << "\nJSON: " << json << "\n";
   {
     std::ofstream out("BENCH_trace_overhead.json");
