@@ -9,8 +9,8 @@
 // The security audit log is measured the same way: a denial-heavy shared
 // select (the perfbench enforce_select shape: moving objects, an sp every
 // 10 tuples granting 4 of 100 roles, 8 subjects with distinct role pairs
-// sharing one region query) with EngineOptions::enable_audit off and on;
-// the difference is audit_overhead_pct.
+// sharing one region query) with EngineOptions::enable_audit off and on,
+// repetitions interleaved; the difference is audit_overhead_pct.
 //
 // Emits a machine-readable summary to stdout, BENCH_trace_overhead.json in
 // the working directory, and SPSTREAM_BENCH_JSON_DIR when set.
@@ -164,9 +164,9 @@ constexpr int kAuditTuplesPerSp = 10;
 constexpr size_t kAuditRolesPerSp = 4;
 constexpr size_t kAuditRolePool = 100;
 constexpr size_t kAuditSubjects = 8;
-constexpr size_t kAuditEpochsPerRep = 1500;
+constexpr size_t kAuditEpochsPerRep = 1000;
 constexpr size_t kAuditWarmupEpochs = 200;
-constexpr int kAuditReps = 5;
+constexpr int kAuditReps = 7;
 const char kAuditQuery[] =
     "SELECT object_id, x, y FROM Location "
     "WHERE DISTANCE(x, y, 1450, 1450) <= 1200";
@@ -178,72 +178,111 @@ struct AuditResult {
   RepStats stats;
 };
 
-/// Shared select with the audit log on or off. Each epoch is generated
-/// outside the timed span; only Push, Run and taking results are timed.
-AuditResult RunAuditMode(bool enable_audit) {
-  Tracer::Global().Disable();
-  EngineOptions opts;
-  opts.share_plans = true;
-  opts.enable_audit = enable_audit;
-  SpStreamEngine engine(std::move(opts));
-  MovingObjectsGenerator::SeedRoles(engine.roles(), kAuditRolePool);
-  (void)engine.RegisterStream(
-      MovingObjectsGenerator::LocationSchema("Location"));
-  Rng rng(2019);
-  std::set<std::pair<RoleId, RoleId>> used;
-  std::vector<QueryId> queries;
-  while (queries.size() < kAuditSubjects) {
-    const RoleId a = static_cast<RoleId>(rng.NextBounded(kAuditRolePool));
-    const RoleId b = static_cast<RoleId>(rng.NextBounded(kAuditRolePool));
-    if (a == b || !used.insert(std::minmax(a, b)).second) continue;
-    const std::string subject = "subject" + std::to_string(queries.size());
-    (void)engine.RegisterSubject(subject, {"r" + std::to_string(a + 1),
-                                           "r" + std::to_string(b + 1)});
-    queries.push_back(engine.RegisterQuery(subject, kAuditQuery).value());
+/// One engine running the shared select with the audit log on or off.
+/// Epochs are generated outside the timed span; only Push, Run and taking
+/// results are timed.
+class AuditRun {
+ public:
+  explicit AuditRun(bool enable_audit) : engine_(Options(enable_audit)) {
+    MovingObjectsGenerator::SeedRoles(engine_.roles(), kAuditRolePool);
+    (void)engine_.RegisterStream(
+        MovingObjectsGenerator::LocationSchema("Location"));
+    Rng rng(2019);
+    std::set<std::pair<RoleId, RoleId>> used;
+    while (queries_.size() < kAuditSubjects) {
+      const RoleId a = static_cast<RoleId>(rng.NextBounded(kAuditRolePool));
+      const RoleId b = static_cast<RoleId>(rng.NextBounded(kAuditRolePool));
+      if (a == b || !used.insert(std::minmax(a, b)).second) continue;
+      const std::string subject =
+          "subject" + std::to_string(queries_.size());
+      (void)engine_.RegisterSubject(subject, {"r" + std::to_string(a + 1),
+                                              "r" + std::to_string(b + 1)});
+      queries_.push_back(
+          engine_.RegisterQuery(subject, kAuditQuery).value());
+    }
   }
-  RoadNetworkOptions net;
-  net.grid_width = 30;
-  net.grid_height = 30;
-  const RoadNetwork network = RoadNetwork::Grid(net);
 
-  int64_t epoch = 0;
-  auto run_epoch = [&] {
-    MovingObjectsOptions mo;
-    mo.num_objects = kAuditTuplesPerEpoch;
-    mo.num_updates = kAuditTuplesPerEpoch;
-    mo.tuples_per_sp = kAuditTuplesPerSp;
-    mo.roles_per_policy = kAuditRolesPerSp;
-    mo.role_pool = kAuditRolePool;
-    mo.seed = 100 + static_cast<uint64_t>(epoch);
-    mo.start_ts = 1 + epoch * static_cast<int64_t>(kAuditTuplesPerEpoch);
-    ++epoch;
-    std::vector<StreamElement> elements =
-        MovingObjectsGenerator(engine.roles(), network, mo).Generate();
-    const int64_t start = NowNanos();
-    (void)engine.Push("Location", std::move(elements));
-    (void)engine.Run();
-    for (QueryId q : queries) (void)engine.TakeResults(q);
-    return NowNanos() - start;
-  };
-  AuditResult res;
-  res.enable_audit = enable_audit;
-  res.stats = MeasureReps(
+  /// Runs `epochs` epochs; returns the seconds spent inside the engine.
+  double Block(size_t epochs) {
+    int64_t ns = 0;
+    for (size_t e = 0; e < epochs; ++e) {
+      MovingObjectsOptions mo;
+      mo.num_objects = kAuditTuplesPerEpoch;
+      mo.num_updates = kAuditTuplesPerEpoch;
+      mo.tuples_per_sp = kAuditTuplesPerSp;
+      mo.roles_per_policy = kAuditRolesPerSp;
+      mo.role_pool = kAuditRolePool;
+      mo.seed = 100 + static_cast<uint64_t>(epoch_);
+      mo.start_ts = 1 + epoch_ * static_cast<int64_t>(kAuditTuplesPerEpoch);
+      ++epoch_;
+      std::vector<StreamElement> elements =
+          MovingObjectsGenerator(engine_.roles(), network_, mo).Generate();
+      const int64_t start = NowNanos();
+      (void)engine_.Push("Location", std::move(elements));
+      (void)engine_.Run();
+      for (QueryId q : queries_) (void)engine_.TakeResults(q);
+      ns += NowNanos() - start;
+    }
+    return static_cast<double>(ns) / 1e9;
+  }
+
+  int64_t denials() {
+    return engine_.SnapshotMetrics().engine_totals.tuples_dropped_security;
+  }
+
+ private:
+  static EngineOptions Options(bool enable_audit) {
+    EngineOptions opts;
+    opts.share_plans = true;
+    opts.enable_audit = enable_audit;
+    return opts;
+  }
+  static RoadNetwork Network() {
+    RoadNetworkOptions net;
+    net.grid_width = 30;
+    net.grid_height = 30;
+    return RoadNetwork::Grid(net);
+  }
+
+  SpStreamEngine engine_;
+  std::vector<QueryId> queries_;
+  const RoadNetwork network_ = Network();
+  int64_t epoch_ = 0;
+};
+
+/// Audit log off and on over the same epochs. Each repetition runs one
+/// block on each engine, in alternating order, so both sides see the same
+/// stretch of the host.
+std::vector<AuditResult> RunAuditPair() {
+  Tracer::Global().Disable();
+  AuditRun runs[2] = {AuditRun(false), AuditRun(true)};
+  std::vector<AuditResult> res(2);
+  int rep = 0;
+  MeasureReps(
       kAuditReps,
       /*warmup=*/
       [&] {
-        for (size_t e = 0; e < kAuditWarmupEpochs; ++e) run_epoch();
+        for (AuditRun& r : runs) r.Block(kAuditWarmupEpochs);
       },
       /*timed_rep=*/
       [&] {
-        int64_t ns = 0;
-        for (size_t e = 0; e < kAuditEpochsPerRep; ++e) ns += run_epoch();
-        return static_cast<double>(ns) / 1e9;
+        double total = 0;
+        for (int k = 0; k < 2; ++k) {
+          const int side = (rep + k) % 2;
+          const double s = runs[side].Block(kAuditEpochsPerRep);
+          res[side].stats.seconds.push_back(s);
+          total += s;
+        }
+        ++rep;
+        return total;
       });
-  res.tuples_per_sec =
-      static_cast<double>(kAuditEpochsPerRep * kAuditTuplesPerEpoch) /
-      res.stats.Min();
-  res.denials =
-      engine.SnapshotMetrics().engine_totals.tuples_dropped_security;
+  for (int side = 0; side < 2; ++side) {
+    res[side].enable_audit = side == 1;
+    res[side].tuples_per_sec =
+        static_cast<double>(kAuditEpochsPerRep * kAuditTuplesPerEpoch) /
+        res[side].stats.Min();
+    res[side].denials = runs[side].denials();
+  }
   return res;
 }
 
@@ -318,8 +357,7 @@ int main() {
              2);
   }
 
-  const std::vector<AuditResult> audit = {RunAuditMode(false),
-                                          RunAuditMode(true)};
+  const std::vector<AuditResult> audit = RunAuditPair();
   const double audit_overhead_pct =
       100.0 * (audit[0].tuples_per_sec - audit[1].tuples_per_sec) /
       audit[0].tuples_per_sec;

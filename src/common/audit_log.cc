@@ -47,9 +47,9 @@ std::string AuditEvent::ToJson() const {
   os << "{\"seq\":" << seq << ",\"kind\":\"" << AuditEventKindName(kind)
      << "\",\"scope\":\"" << JsonEscape(scope) << "\",\"stream\":\""
      << JsonEscape(stream) << "\",\"sp_ts\":" << sp_ts
-     << ",\"tuple_id\":" << tuple_id << ",\"roles\":\"" << JsonEscape(roles.str())
-     << "\",\"trace_id\":" << trace_id << ",\"detail\":\""
-     << JsonEscape(detail.str()) << "\"}";
+     << ",\"tuple_id\":" << tuple_id << ",\"roles\":\""
+     << JsonEscape(roles.str()) << "\",\"trace_id\":" << trace_id
+     << ",\"detail\":\"" << JsonEscape(detail.str()) << "\"}";
   return os.str();
 }
 

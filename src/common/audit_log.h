@@ -45,9 +45,9 @@ const char* AuditEventKindName(AuditEventKind kind);
 class AuditText {
  public:
   AuditText() = default;
-  AuditText(std::string text)  // implicit, like assigning a std::string
+  /*implicit*/ AuditText(std::string text)
       : text_(std::make_shared<const std::string>(std::move(text))) {}
-  AuditText(const char* text) : AuditText(std::string(text)) {}
+  /*implicit*/ AuditText(const char* text) : AuditText(std::string(text)) {}
 
   const std::string& str() const { return text_ ? *text_ : Empty(); }
   operator const std::string&() const { return str(); }

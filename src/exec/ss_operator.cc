@@ -148,9 +148,7 @@ bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
       // identically to the slow path.
       if (!memo_authorized_) {
         ++metrics_.tuples_dropped_security;
-        if (audit() != nullptr) {
-          AuditDenial(batch.tid_at(r), memo_policy_);
-        }
+        AuditDenial(batch.tid_at(r), memo_policy_);
         continue;
       }
       if (!pending_emitted_) flush_pending(r);

@@ -110,7 +110,9 @@ ParityRun RunSharedPlan(size_t num_shards, size_t batch_size) {
     auto q = engine.RegisterQuery(subject, kRegionQuery);
     EXPECT_TRUE(q.ok()) << q.status().ToString();
     RoleSet roles;
-    for (const char* name : kSubjectRoles[s]) roles.Insert(*catalog.Lookup(name));
+    for (const char* name : kSubjectRoles[s]) {
+      roles.Insert(*catalog.Lookup(name));
+    }
     run.predicate_text["q" + std::to_string(*q)] = roles.ToString(catalog);
     all.UnionWith(roles);
   }
@@ -181,8 +183,9 @@ void ExpectOldText(const ParityRun& run) {
   }
   const AuditLog& log = *run.engine->audit();
   EXPECT_EQ(log.CountOf(AuditEventKind::kDenial), denials);
-  EXPECT_EQ(log.CountOf(AuditEventKind::kDenial),
-            run.engine->SnapshotMetrics().engine_totals.tuples_dropped_security);
+  EXPECT_EQ(
+      log.CountOf(AuditEventKind::kDenial),
+      run.engine->SnapshotMetrics().engine_totals.tuples_dropped_security);
   EXPECT_GT(denials, 0);
   EXPECT_EQ(log.total(), static_cast<int64_t>(run.events.size()));
 }
@@ -245,7 +248,7 @@ TEST(AuditParityPolicyChangeTest, DetailChangesAtFirstTupleOfNewBatch) {
     opts.batch_size = batch_size;
     SpStreamEngine engine(opts);
     const RoleId gp = engine.RegisterRole("GP");
-    const RoleId nd = engine.RegisterRole("ND");
+    engine.RegisterRole("ND");
     const RoleId rx = engine.RegisterRole("RX");
     ASSERT_TRUE(engine
                     .RegisterStream(MakeSchema(
@@ -258,11 +261,13 @@ TEST(AuditParityPolicyChangeTest, DetailChangesAtFirstTupleOfNewBatch) {
     std::vector<StreamElement> input;
     input.emplace_back(MakeSp("S", {gp}, 1));
     for (TupleId t = 1; t <= 5; ++t) {
-      input.emplace_back(sptest::MakeTuple(t, {1, 2}, static_cast<Timestamp>(t)));
+      input.emplace_back(
+          sptest::MakeTuple(t, {1, 2}, static_cast<Timestamp>(t)));
     }
     input.emplace_back(MakeSp("S", {gp, rx}, 6));
     for (TupleId t = 6; t <= 10; ++t) {
-      input.emplace_back(sptest::MakeTuple(t, {1, 2}, static_cast<Timestamp>(t)));
+      input.emplace_back(
+          sptest::MakeTuple(t, {1, 2}, static_cast<Timestamp>(t)));
     }
     ASSERT_TRUE(engine.Push("S", std::move(input)).ok());
     ASSERT_TRUE(engine.Run().ok());
@@ -286,7 +291,6 @@ TEST(AuditParityPolicyChangeTest, DetailChangesAtFirstTupleOfNewBatch) {
                     std::to_string(e.sp_ts) + " roles={ND} (" +
                     std::string(e.detail) + ")");
     }
-    (void)nd;
   }
 }
 
