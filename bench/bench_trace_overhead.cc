@@ -3,8 +3,11 @@
 // windowed join as bench_batch_size, measured (a) with tracing compiled in
 // but disabled (the shipping default: every span site is two predictable
 // branches), and (b) with tracing enabled at sample rates 1/1, 1/8 and
-// 1/64. The contract is <3% throughput cost with tracing enabled at the
-// default CLI rate (1/1) and noise-level cost when disabled.
+// 1/64. Each mode has its own engine; every repetition runs one block of
+// epochs per mode, in an order that rotates from one repetition to the
+// next, so all four modes see the same stretch of the host. The contract is
+// <3% throughput cost with tracing enabled at the default CLI rate (1/1)
+// and noise-level cost when disabled.
 //
 // The security audit log is measured the same way: a denial-heavy shared
 // select (the perfbench enforce_select shape: moving objects, an sp every
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,7 +39,9 @@ namespace spstream::bench {
 namespace {
 
 constexpr size_t kEpochs = 3;
-constexpr int kReps = 3;  // timed repetitions after one warmup epoch
+// Timed repetitions after one warmup epoch; one per mode, so the rotation
+// puts every mode in every position once.
+constexpr int kReps = 4;
 constexpr size_t kTuplesPerEpoch = 20000;  // per stream, per epoch
 constexpr int kTuplesPerSp = 400;
 constexpr int64_t kWindow = 4000;
@@ -99,61 +105,112 @@ struct OverheadResult {
   RepStats stats;
 };
 
-OverheadResult RunMode(const Mode& mode) {
-  // The tracer is process-global: arm it (or not) for this mode, and clear
-  // retained events so one mode's rings don't skew the next one's Snapshot.
-  Tracer& tracer = Tracer::Global();
-  if (mode.sample_n > 0) {
-    tracer.Enable(mode.sample_n);
-  } else {
+/// One engine over the punctuated windowed join, traced at one mode's
+/// sample rate (or not at all).
+class TraceRun {
+ public:
+  explicit TraceRun(const Mode& mode)
+      : mode_(mode), engine_(Options()), qid_(Register(&engine_)) {}
+
+  /// Arms the process-global tracer for this run's mode, runs `epochs`
+  /// epochs (input generation included) and returns their seconds.
+  double Block(size_t epochs) {
+    // Clear retained events so one mode's rings don't skew the next one's
+    // Snapshot.
+    Tracer& tracer = Tracer::Global();
+    if (mode_.sample_n > 0) {
+      tracer.Enable(mode_.sample_n);
+    } else {
+      tracer.Disable();
+    }
+    tracer.Clear();
+    const int64_t start = NowNanos();
+    for (size_t e = 0; e < epochs; ++e) {
+      (void)engine_.Push("A", MakeEpoch("A", &rng_a_, &ts_a_, &tid_));
+      (void)engine_.Push("B", MakeEpoch("B", &rng_b_, &ts_b_, &tid_));
+      (void)engine_.Run();
+      results_ += engine_.TakeResults(qid_).value().size();
+    }
+    const int64_t ns = NowNanos() - start;
     tracer.Disable();
+    return static_cast<double>(ns) / 1e9;
   }
-  tracer.Clear();
 
-  EngineOptions opts;
-  opts.num_shards = 1;
-  opts.batch_size = 64;
-  SpStreamEngine engine(std::move(opts));
-  for (size_t r = 0; r < kRolePool; ++r) {
-    engine.RegisterRole("role" + std::to_string(r));
+  const Mode& mode() const { return mode_; }
+  size_t results() const { return results_; }
+
+ private:
+  static EngineOptions Options() {
+    EngineOptions opts;
+    opts.num_shards = 1;
+    opts.batch_size = 64;
+    return opts;
   }
-  (void)engine.RegisterStream(ASchema());
-  (void)engine.RegisterStream(BSchema());
-  (void)engine.RegisterSubject("tracker", {"role0"});
-  const QueryId qid =
-      engine
-          .RegisterQuery("tracker",
-                         "SELECT A.v FROM A [RANGE " +
-                             std::to_string(kWindow) + "], B [RANGE " +
-                             std::to_string(kWindow) +
-                             "] WHERE A.k = B.k")
-          .value();
+  static QueryId Register(SpStreamEngine* engine) {
+    for (size_t r = 0; r < kRolePool; ++r) {
+      engine->RegisterRole("role" + std::to_string(r));
+    }
+    (void)engine->RegisterStream(ASchema());
+    (void)engine->RegisterStream(BSchema());
+    (void)engine->RegisterSubject("tracker", {"role0"});
+    return engine
+        ->RegisterQuery("tracker",
+                        "SELECT A.v FROM A [RANGE " + std::to_string(kWindow) +
+                            "], B [RANGE " + std::to_string(kWindow) +
+                            "] WHERE A.k = B.k")
+        .value();
+  }
 
-  Rng rng_a(2008);
-  Rng rng_b(2009);
-  Timestamp ts_a = 1;
-  Timestamp ts_b = 2;
-  TupleId tid = 0;
-  OverheadResult res;
-  res.mode = mode.name;
-  res.sample_n = mode.sample_n;
-  auto epoch = [&] {
-    (void)engine.Push("A", MakeEpoch("A", &rng_a, &ts_a, &tid));
-    (void)engine.Push("B", MakeEpoch("B", &rng_b, &ts_b, &tid));
-    (void)engine.Run();
-    res.results += engine.TakeResults(qid).value().size();
-  };
-  res.stats = MeasureReps(
-      kReps, /*warmup=*/epoch,
-      /*timed_rep=*/[&] {
-        const int64_t start = NowNanos();
-        for (size_t e = 0; e < kEpochs; ++e) epoch();
-        return static_cast<double>(NowNanos() - start) / 1e9;
+  Mode mode_;
+  SpStreamEngine engine_;
+  QueryId qid_;
+  Rng rng_a_{2008};
+  Rng rng_b_{2009};
+  Timestamp ts_a_ = 1;
+  Timestamp ts_b_ = 2;
+  TupleId tid_ = 0;
+  size_t results_ = 0;
+};
+
+/// Every mode over the same epochs, one block per mode per repetition in
+/// rotating order; overhead is each mode's best block against "off"'s
+/// (modes[0]).
+std::vector<OverheadResult> RunModes(const std::vector<Mode>& modes) {
+  std::vector<std::unique_ptr<TraceRun>> runs;
+  for (const Mode& m : modes) runs.push_back(std::make_unique<TraceRun>(m));
+  std::vector<OverheadResult> res(modes.size());
+  size_t rep = 0;
+  MeasureReps(
+      kReps,
+      /*warmup=*/
+      [&] {
+        for (auto& r : runs) r->Block(1);
+      },
+      /*timed_rep=*/
+      [&] {
+        double total = 0;
+        for (size_t k = 0; k < runs.size(); ++k) {
+          const size_t i = (rep + k) % runs.size();
+          const double s = runs[i]->Block(kEpochs);
+          res[i].stats.seconds.push_back(s);
+          total += s;
+        }
+        ++rep;
+        return total;
       });
-  res.seconds = res.stats.Min();
-  res.tuples_per_sec =
-      static_cast<double>(kEpochs * kTuplesPerEpoch * 2) / res.seconds;
-  tracer.Disable();
+  for (size_t i = 0; i < runs.size(); ++i) {
+    OverheadResult& r = res[i];
+    r.mode = runs[i]->mode().name;
+    r.sample_n = runs[i]->mode().sample_n;
+    r.seconds = r.stats.Min();
+    r.tuples_per_sec =
+        static_cast<double>(kEpochs * kTuplesPerEpoch * 2) / r.seconds;
+    r.results = runs[i]->results();
+  }
+  for (OverheadResult& r : res) {
+    r.overhead_pct = 100.0 * (res[0].tuples_per_sec - r.tuples_per_sec) /
+                     res[0].tuples_per_sec;
+  }
   return res;
 }
 
@@ -340,13 +397,7 @@ int main() {
 
   const std::vector<Mode> modes = {
       {"off", 0}, {"sample_1", 1}, {"sample_8", 8}, {"sample_64", 64}};
-  std::vector<OverheadResult> results;
-  for (const Mode& m : modes) results.push_back(RunMode(m));
-  for (OverheadResult& r : results) {
-    r.overhead_pct =
-        100.0 * (results[0].tuples_per_sec - r.tuples_per_sec) /
-        results[0].tuples_per_sec;
-  }
+  const std::vector<OverheadResult> results = RunModes(modes);
 
   PrintHeader("Trace overhead", "tuples/sec by tracer state");
   PrintLegend("mode", {"tuples/s", "overhead %", "stddev(ms)", "results"});

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/fault.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "security/sp_codec.h"
@@ -807,12 +806,9 @@ Status SpStreamEngine::RunGroup(QueryGroup* g) {
   // Operator state persists, so a policy installed in an earlier epoch
   // still governs this epoch's tuples, for every member alike.
   Histogram tuple_latency;
-  const std::string fault_reason =
-      g->routing.shardable ? FeedShards(g) : FeedInline(g, &tuple_latency);
-  if (!g->routing.shardable) {
-    for (size_t m : g->members) {
-      metrics_.MergeTupleLatency(QueryTag(&queries_[m]), tuple_latency);
-    }
+  const std::string fault_reason = FeedGroup(g, &tuple_latency);
+  for (size_t m : g->members) {
+    metrics_.MergeTupleLatency(QueryTag(&queries_[m]), tuple_latency);
   }
   if (!fault_reason.empty()) {
     QuarantineGroup(g, fault_reason);
@@ -837,73 +833,6 @@ Status SpStreamEngine::RunGroup(QueryGroup* g) {
   return Status::OK();
 }
 
-std::string SpStreamEngine::FeedInline(QueryGroup* g,
-                                       Histogram* tuple_latency) {
-  // Feeding is synchronous pipelined execution, so the wall time of one
-  // FeedBatch() IS its tuples' source→sink latency.
-  // Tier-1 degradation: under pressure the source poll batches shrink so
-  // sinks drain (and results deliver) at a finer granularity.
-  const size_t batch_size =
-      overload_.EffectiveBatchSize(std::max<size_t>(1, options_.batch_size));
-  for (auto& [stream, src] : g->physicals[0].sources) {
-    const std::vector<StreamElement>& pending =
-        stream_states_.at(stream).pending;
-    size_t i = 0;
-    while (i < pending.size()) {
-      // Assemble up to batch_size elements. The injection check stays
-      // per-element so a given fault seed fires on the same RNG draw as the
-      // per-element path did; a fault mid-assembly discards the partial
-      // batch (nothing from it is fed — the epoch quarantines anyway).
-      ElementBatch batch;
-      // Feed columnar above batch size 1 so the kernels engage from the
-      // source on; size 1 keeps the row transport (a one-row
-      // columnar batch costs more than the element it carries).
-      if (batch_size > 1) batch.BeginColumnar();
-      const size_t end = std::min(pending.size(), i + batch_size);
-      batch.reserve(end - i);
-      int64_t tuples_in_batch = 0;
-      Timestamp traced_sp_ts = -1;
-      for (; i < end; ++i) {
-        if (SP_FAULT_FIRED(fault::kOperatorProcess)) {
-          return "injected fault at exec.operator_process "
-                 "(single-threaded path)";
-        }
-        if (pending[i].is_tuple()) {
-          ++tuples_in_batch;
-        } else if (pending[i].is_sp() && traced_sp_ts < 0 &&
-                   Tracer::Global().SampleSpBatch(pending[i].ts())) {
-          traced_sp_ts = pending[i].ts();
-        }
-        // copy: several groups read the same pending input
-        batch.Append(pending[i]);
-      }
-      // Batches carrying a sampled sp run under that sp-batch's trace (the
-      // downstream PushBatch / SS spans join the batch's lifecycle);
-      // everything else stays on the epoch trace set by Run().
-      ScopedTraceContext batch_trace(traced_sp_ts >= 0
-                                         ? SpBatchTraceId(traced_sp_ts)
-                                         : Tracer::CurrentTrace());
-      const int64_t t0 = NowNanos();
-      try {
-        src->FeedBatch(std::move(batch));
-      } catch (const std::exception& ex) {
-        return std::string("operator threw: ") + ex.what();
-      } catch (...) {
-        return "operator threw a non-std exception";
-      }
-      // The batch's wall time is every member tuple's source→sink latency
-      // (batch_size=1 degenerates to the old per-element sample).
-      if (tuples_in_batch > 0) {
-        const int64_t wall = NowNanos() - t0;
-        for (int64_t k = 0; k < tuples_in_batch; ++k) {
-          tuple_latency->Record(wall);
-        }
-      }
-    }
-  }
-  return "";
-}
-
 void SpStreamEngine::DeliverResult(QueryState* qs, Tuple t) {
   if (durability_) {
     // Held back until this epoch's durable commit (delivered ≡ durable).
@@ -914,56 +843,75 @@ void SpStreamEngine::DeliverResult(QueryState* qs, Tuple t) {
   qs->results.push_back(std::move(t));
 }
 
-std::string SpStreamEngine::FeedShards(QueryGroup* g) {
-  const size_t num_shards = g->pipelines.size();
-  // Route this epoch's admitted elements leaf by leaf: tuples are
-  // hash-partitioned on the leaf's shard key; sps and controls broadcast to
-  // every shard so each clone's policy state converges identically.
-  const size_t num_leaves = g->physicals[0].sources.size();
-  // Same tier-1 throttle as the inline path: smaller hand-off batches bound
-  // how much one shard queue can lag the barrier under pressure.
+std::string SpStreamEngine::FeedGroup(QueryGroup* g,
+                                      Histogram* tuple_latency) {
+  const size_t clones = g->pipelines.size();
+  // Tier-1 degradation: under pressure the batches shrink, so sinks drain
+  // (and results deliver) at a finer granularity and no shard queue lags
+  // the barrier by much.
   const size_t batch_size =
       overload_.EffectiveBatchSize(std::max<size_t>(1, options_.batch_size));
-  for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
+  // Feed columnar above batch size 1 so the kernels engage from the source
+  // on; size 1 keeps the row transport (a one-row columnar batch costs more
+  // than the element it carries).
+  const bool columnar = batch_size > 1;
+  // Route this epoch's admitted elements leaf by leaf into one micro-batch
+  // per clone: tuples go to their shard (hash of the leaf's shard key), sps
+  // and controls to every clone so each clone's policy state converges
+  // identically. Equivalence only needs per-clone element order. A batch
+  // is handed off whole when it fills or when the leaf's input runs out:
+  // fed here for a one-clone group, else routed to its shard.
+  for (size_t leaf = 0; leaf < g->physicals[0].sources.size(); ++leaf) {
     const std::string& stream = g->physicals[0].sources[leaf].first;
-    const LeafShardKey key = g->routing.leaf_keys[leaf];
-    // Per-shard micro-batches: equivalence only needs per-shard element
-    // order, so sps/controls ride inline in every shard's batch (broadcast)
-    // and tuples only in their hash target's. A shard's batch is handed off
-    // whole when it fills or when the leaf's input is exhausted.
-    std::vector<ElementBatch> bufs(num_shards);
-    if (batch_size > 1) {
-      for (ElementBatch& b : bufs) b.BeginColumnar();
-    }
-    auto flush = [&](size_t s) {
-      if (bufs[s].empty()) return;
-      shard_manager_->RouteBatch(s, g->physicals[s].sources[leaf].second,
-                                 std::move(bufs[s]));
-      bufs[s] = ElementBatch();
-      if (batch_size > 1) bufs[s].BeginColumnar();
+    const std::vector<StreamElement>& pending =
+        stream_states_.at(stream).pending;
+    std::vector<ElementBatch> bufs(clones);
+    auto begin = [&](size_t c) {
+      bufs[c] = ElementBatch();
+      if (columnar) bufs[c].BeginColumnar();
+      bufs[c].reserve(std::min(batch_size, pending.size()));
     };
-    for (const StreamElement& e : stream_states_.at(stream).pending) {
-      if (e.is_tuple()) {
-        const size_t target = ShardOf(e.tuple(), key, num_shards);
-        bufs[target].Append(e);
-        if (bufs[target].size() >= batch_size) flush(target);
+    auto flush = [&](size_t c) {
+      PushSource* src = g->physicals[c].sources[leaf].second;
+      if (clones == 1) {
+        inline_feed_.Feed(src, std::move(bufs[c]));
       } else {
-        for (size_t s = 0; s < num_shards; ++s) {
-          bufs[s].Append(e);
-          if (bufs[s].size() >= batch_size) flush(s);
-        }
+        shard_manager_->RouteBatch(c, src, std::move(bufs[c]));
+      }
+    };
+    auto add = [&](size_t c, const StreamElement& e) {
+      bufs[c].Append(e);  // copy: several groups read the same input
+      if (bufs[c].size() < batch_size) return;
+      flush(c);
+      begin(c);
+    };
+    for (size_t c = 0; c < clones; ++c) begin(c);
+    for (const StreamElement& e : pending) {
+      if (e.is_tuple()) {
+        add(clones == 1
+                ? 0
+                : ShardOf(e.tuple(), g->routing.leaf_keys[leaf], clones),
+            e);
+      } else {
+        for (size_t c = 0; c < clones; ++c) add(c, e);
       }
     }
-    for (size_t s = 0; s < num_shards; ++s) flush(s);
+    for (size_t c = 0; c < clones; ++c) {
+      if (!bufs[c].empty()) flush(c);
+    }
   }
-  // Barrier: every shard drains its share before we read any sink.
-  shard_manager_->CompleteEpoch();
-
-  // Supervision: the barrier has drained, so any fault recorded since the
-  // previous drain belongs to exactly this group's epoch (Run routes and
-  // barriers one group at a time).
+  std::vector<FaultRecord> faults;
+  if (clones == 1) {
+    faults = inline_feed_.TakeEpoch(tuple_latency);
+  } else {
+    // Barrier: every shard drains its share before any sink is read.
+    shard_manager_->CompleteEpoch();
+    faults = shard_manager_->TakeEpoch(tuple_latency);
+  }
+  // Supervision: Run feeds and barriers one group at a time, so every
+  // fault taken here belongs to exactly this group's epoch.
   std::string reason;
-  for (const ShardManager::FaultRecord& f : shard_manager_->TakeEpochFaults()) {
+  for (const FaultRecord& f : faults) {
     if (!reason.empty()) reason += "; ";
     reason +=
         "shard " + std::to_string(f.shard) + " " + f.site + ": " + f.detail;

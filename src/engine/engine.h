@@ -54,15 +54,16 @@ struct EngineOptions {
   /// Disabling skips all audit-event rendering on the hot path.
   bool enable_audit = true;
   /// Intra-query parallelism: > 1 hash-partitions each query group's tuples
-  /// by a plan-derived shard key across this many worker shards, each
-  /// running its own clone of the group's DAG on its own thread. Security
-  /// punctuations are broadcast to every shard, so each clone's policy
-  /// state converges to the single-threaded engine's; the merge sink
-  /// collects per-shard outputs in (shard id, arrival order) — the result
-  /// multiset is identical to a 1-shard run (tests/shard_equivalence_test).
-  /// Plans with no safe hash partition (e.g. conflicting key requirements)
-  /// fall back to the single-threaded path per group. 1 = today's fully
-  /// single-threaded behavior.
+  /// by a plan-derived shard key across this many shards, each running its
+  /// own clone of the group's DAG — on one worker thread per shard when the
+  /// constructing thread may use two or more CPUs, else on the engine
+  /// thread (engine/shard_manager.h). Security punctuations are broadcast
+  /// to every shard, so each clone's policy state converges to the
+  /// one-clone engine's; the merge sink collects per-shard outputs in
+  /// (shard id, arrival order) — the result multiset is identical to a
+  /// 1-shard run (tests/shard_equivalence_test). Plans with no safe hash
+  /// partition (e.g. conflicting key requirements) fall back to one clone
+  /// per group. 1 = every group runs on one clone, on the engine thread.
   size_t num_shards = 1;
   /// Per-shard hand-off queue capacity (elements). Routing blocks when a
   /// shard's queue is full, backpressuring the epoch to the slowest shard.
@@ -281,8 +282,8 @@ class SpStreamEngine {
     // split SS over the shared trunk. Set at compile time; holds the plan
     // nodes that `physicals[i].node_ops` is keyed by.
     std::vector<LogicalNodePtr> roots;
-    // One DAG clone when running inline, else one per worker shard
-    // (`routing.shardable`), with the plan-derived per-leaf routing keys.
+    // One DAG clone, or one per shard when sharded (`routing.shardable`),
+    // with the plan-derived per-leaf routing keys.
     std::vector<std::unique_ptr<Pipeline>> pipelines;
     std::vector<StreamingPhysicalPlan> physicals;
     ShardRouting routing;
@@ -312,15 +313,13 @@ class SpStreamEngine {
 
   /// Compile the group's DAG (and shard clones) if it has none.
   Status CompileGroup(QueryGroup* g);
-  /// Execute one epoch of a group: feed inline or route across the worker
-  /// shards, then deliver each member's results.
+  /// Execute one epoch of a group: feed its clones, then deliver each
+  /// member's results.
   Status RunGroup(QueryGroup* g);
-  /// Feed this epoch's admitted elements through the inline DAG; returns a
-  /// fault reason, empty when the epoch ran clean.
-  std::string FeedInline(QueryGroup* g, Histogram* tuple_latency);
-  /// Route this epoch's admitted tuples by shard key, broadcast sps,
-  /// barrier; returns the shards' fault reason, empty when clean.
-  std::string FeedShards(QueryGroup* g);
+  /// Feed this epoch's admitted elements to the group's clones (tuples by
+  /// shard key, sps broadcast) and barrier; folds each fed tuple's latency
+  /// into `tuple_latency` and returns the fault reason, empty when clean.
+  std::string FeedGroup(QueryGroup* g, Histogram* tuple_latency);
   /// Deliver one result tuple: straight to results/callback, or staged
   /// until the epoch's durable commit when durability is on.
   void DeliverResult(QueryState* qs, Tuple t);
@@ -429,6 +428,9 @@ class SpStreamEngine {
   /// groups_ so destruction joins the workers BEFORE the pipelines they
   /// feed are torn down.
   std::unique_ptr<ShardManager> shard_manager_;
+  /// Feed state of the clone of a one-clone group; the engine thread feeds
+  /// every such group through it, one at a time.
+  CloneFeed inline_feed_;
   /// Overload resilience (docs/ROBUSTNESS.md): pressure state machine fed
   /// by Push/Run, and the optional shard-liveness observer thread. The
   /// watchdog probes shard_manager_, so it is declared after it (destroyed

@@ -42,7 +42,6 @@ Status EngineService::ExecuteInsertSp(const std::string& sql) {
 std::function<void()> EngineService::MarkWorkPending() {
   std::lock_guard<std::mutex> lock(pace_mu_);
   work_pending_ = true;
-  work_cv_.notify_one();
   return work_notifier_;
 }
 
@@ -96,29 +95,14 @@ uint64_t EngineService::RequestEpoch() {
   {
     std::lock_guard<std::mutex> lock(pace_mu_);
     work_pending_ = true;
-    work_cv_.notify_one();
     notify = work_notifier_;
-    // An epoch currently in flight (started > completed) may have begun
-    // before the caller's pushes; the first epoch that starts from now on is
+    // An epoch already in flight may have begun before the caller's
+    // pushes; the first epoch that starts from now on is
     // epochs_started_ + 1, and it drains everything already admitted.
     target = epochs_started_ + 1;
   }
   if (notify) notify();
   return target;
-}
-
-void EngineService::WaitEpoch(uint64_t target) {
-  std::unique_lock<std::mutex> lock(pace_mu_);
-  epoch_cv_.wait(lock,
-                 [&] { return stopped_ || epochs_completed_ >= target; });
-}
-
-bool EngineService::WaitWork() {
-  std::unique_lock<std::mutex> lock(pace_mu_);
-  work_cv_.wait(lock, [&] { return stopped_ || work_pending_; });
-  if (stopped_) return false;
-  work_pending_ = false;
-  return true;
 }
 
 bool EngineService::PollWork() {
@@ -133,12 +117,11 @@ void EngineService::SetWorkNotifier(std::function<void()> notify) {
   work_notifier_ = std::move(notify);
 }
 
-uint64_t EngineService::RunEpoch(
+void EngineService::RunEpoch(
     const std::function<void(SpStreamEngine*)>& after_run) {
-  uint64_t epoch;
   {
     std::lock_guard<std::mutex> lock(pace_mu_);
-    epoch = ++epochs_started_;
+    ++epochs_started_;
   }
   {
     std::lock_guard<std::mutex> lock(engine_mu_);
@@ -148,13 +131,6 @@ uint64_t EngineService::RunEpoch(
     }
     if (after_run) after_run(&engine_);
   }
-  return epoch;
-}
-
-void EngineService::MarkEpochComplete(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(pace_mu_);
-  if (epoch > epochs_completed_) epochs_completed_ = epoch;
-  epoch_cv_.notify_all();
 }
 
 void EngineService::Stop() {
@@ -162,16 +138,9 @@ void EngineService::Stop() {
   {
     std::lock_guard<std::mutex> lock(pace_mu_);
     stopped_ = true;
-    work_cv_.notify_all();
-    epoch_cv_.notify_all();
     notify = work_notifier_;
   }
   if (notify) notify();
-}
-
-uint64_t EngineService::epochs_completed() const {
-  std::lock_guard<std::mutex> lock(pace_mu_);
-  return epochs_completed_;
 }
 
 }  // namespace spstream

@@ -1,24 +1,25 @@
-// EngineService — the thread-safe ingestion/execution entry point over
-// SpStreamEngine, built for the networked deployment (src/net).
+// EngineService — the thread-safe entry point over SpStreamEngine for the
+// networked deployment (src/net).
 //
 // SpStreamEngine itself is single-threaded by design (every operator
-// mutates shared pipeline state). The service serializes all engine access
-// behind one mutex — the concurrency model the StreamServer documents: many
-// reader threads feed a mutex-guarded engine, one serve thread runs epochs.
-// Lock holds are short (one Push batch, one catalog op, one Run epoch), and
-// the epoch counters let any thread await "an epoch that started after my
-// writes" without holding the engine lock.
+// mutates shared pipeline state), so the service serializes all engine
+// access behind one mutex. In the StreamServer one engine thread makes
+// nearly every call — it applies the frames the event loops decoded and
+// runs the epochs; the lock keeps the other callers (setup before the
+// server starts, WithEngine() inspection, the CLI) race-free. Lock holds
+// are short: one Push batch, one catalog op, one Run epoch.
 //
-// Epoch pacing protocol:
-//   - producers call Push()/ExecuteInsertSp(): the element lands in the
-//     engine's pending input and the service marks work pending;
-//   - the serve thread blocks in WaitWork() and calls RunEpoch() when woken;
-//   - a client that needs a flush calls RequestEpoch() and then
-//     WaitEpoch(target): the target is the next epoch that has not yet
-//     started, so it is guaranteed to see everything the caller pushed.
+// Epoch pacing:
+//   - Push()/ExecuteInsertSp() land elements in the engine's pending input
+//     and mark work pending, which wakes the engine thread through the
+//     work notifier (SetWorkNotifier);
+//   - the engine thread consumes the mark with PollWork() and calls
+//     RunEpoch();
+//   - a client's RUN calls RequestEpoch(): it marks work pending and
+//     returns the number of the next epoch to start, which drains
+//     everything admitted before the call. The RUN ack carries it.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -57,21 +58,14 @@ class EngineService {
   Result<std::string> StreamName(StreamId id);
 
   // ---- epoch pacing -------------------------------------------------------
-  /// \brief Ask the serve loop for an epoch; returns the epoch number that
-  /// will include everything this thread pushed before the call.
+  /// \brief Ask for an epoch; returns the number of the epoch that will
+  /// include everything this thread pushed before the call.
   uint64_t RequestEpoch();
 
-  /// \brief Block until `target` epochs have completed (or Stop()).
-  void WaitEpoch(uint64_t target);
-
-  /// \brief Serve thread: block until work is pending or Stop(); returns
-  /// false on Stop. Consumes the work-pending mark.
-  bool WaitWork();
-
-  /// \brief Non-blocking WaitWork for a serve thread that multiplexes other
-  /// wake sources (the reactor's engine thread waits on its own condition
-  /// variable, woken by the notifier below as well as by ingress queues).
-  /// Consumes the work-pending mark; true when an epoch should run.
+  /// \brief Consume the work-pending mark; true when an epoch should run,
+  /// false once Stop() was called. Never blocks: the reactor's engine
+  /// thread waits on its own condition variable, woken by the notifier
+  /// below as well as by ingress queues.
   bool PollWork();
 
   /// \brief Install a callback invoked (outside all service locks) whenever
@@ -80,25 +74,16 @@ class EngineService {
   /// while producers are live.
   void SetWorkNotifier(std::function<void()> notify);
 
-  /// \brief Serve thread: run one engine epoch. `after_run` (optional) is
-  /// invoked with the engine still locked, right after Run() — the server
-  /// drains subscriber results and snapshots credit consumption there,
-  /// atomically with the epoch. Returns the epoch number; the epoch does
-  /// NOT count as completed until MarkEpochComplete(epoch) — the server
-  /// flushes the epoch's result frames in between, so a client whose
-  /// WaitEpoch returned has its results already on the wire, ahead of the
-  /// RUN ack.
-  uint64_t RunEpoch(
-      const std::function<void(SpStreamEngine*)>& after_run = nullptr);
+  /// \brief Run one engine epoch. `after_run` (optional) is invoked with
+  /// the engine still locked, right after Run() — the server drains
+  /// subscriber results and snapshots credit consumption there, atomically
+  /// with the epoch.
+  void RunEpoch(const std::function<void(SpStreamEngine*)>& after_run =
+                    nullptr);
 
-  /// \brief Serve thread: publish epoch completion and wake WaitEpoch
-  /// waiters.
-  void MarkEpochComplete(uint64_t epoch);
-
-  /// \brief Wake every waiter; WaitWork() returns false from now on.
+  /// \brief Wake the engine thread through the notifier; PollWork()
+  /// returns false from now on.
   void Stop();
-
-  uint64_t epochs_completed() const;
 
   /// \brief Direct engine access for single-threaded phases (setup before
   /// the server starts, inspection after it stops); while server threads
@@ -134,14 +119,11 @@ class EngineService {
   /// wakeup takes its own mutex).
   std::function<void()> MarkWorkPending();
 
-  mutable std::mutex pace_mu_;  // guards the epoch/work state below
-  std::condition_variable work_cv_;   // serve thread waits here
-  std::condition_variable epoch_cv_;  // clients wait for completions here
-  std::function<void()> work_notifier_;  // guarded by pace_mu_
+  std::mutex pace_mu_;  // guards the epoch/work state below
+  std::function<void()> work_notifier_;
   bool work_pending_ = false;
   bool stopped_ = false;
   uint64_t epochs_started_ = 0;
-  uint64_t epochs_completed_ = 0;
 };
 
 }  // namespace spstream

@@ -5,6 +5,7 @@
 #include <exception>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 
 namespace spstream {
@@ -25,13 +26,87 @@ size_t UsableCpus() {
 
 }  // namespace
 
+void CloneFeed::Feed(PushSource* src, ElementBatch batch) {
+  // A clone that missed elements may hold diverged policy/window state —
+  // letting it keep emitting could leak a tuple past the policy the fault
+  // interrupted, so it goes dark for the rest of the epoch and the engine
+  // quarantines the group.
+  if (poisoned) return;
+  // The injection check stays per *element* (one RNG draw each) so a fault
+  // seed fires after the same number of draws as per-element hand-off. A
+  // fault anywhere in the batch drops the WHOLE batch — feeding a prefix
+  // would leave this clone's policy/window state diverged mid-run, so
+  // nothing from a faulted batch reaches the pipeline (fail closed).
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (SP_FAULT_FIRED(fault::kOperatorProcess)) {
+      poisoned = true;
+      faults.push_back({index, fault::kOperatorProcess,
+                        "injected fault; the clone dropped the rest of the "
+                        "epoch"});
+      return;
+    }
+  }
+  // None of this decays a columnar batch to rows: the pipeline's columnar
+  // kernels get the batch as handed over.
+  const int64_t tuples_before = tuples;
+  batch.CountLive(&tuples, &sps);
+  const int64_t batch_tuples = tuples - tuples_before;
+  Timestamp traced_sp_ts = -1;
+  auto sample = [&](const StreamElement& e) {
+    if (traced_sp_ts < 0 && e.is_sp() &&
+        Tracer::Global().SampleSpBatch(e.ts())) {
+      traced_sp_ts = e.ts();
+    }
+  };
+  if (batch.is_columnar()) {
+    for (const ElementBatch::Special& s : batch.specials()) sample(s.elem);
+  } else {
+    for (const StreamElement& e : batch.elements()) sample(e);
+  }
+  // A batch carrying a sampled sp is part of that sp-batch's lifecycle (its
+  // PushBatch/SS spans join the batch trace, which is how "which shard
+  // converged last" becomes visible); plain batches attach to the engine's
+  // current epoch trace.
+  ScopedTraceContext batch_trace(traced_sp_ts >= 0
+                                     ? SpBatchTraceId(traced_sp_ts)
+                                     : Tracer::Global().epoch_trace());
+  TraceSpan feed_span(TraceCat::kShard, "shard.feed", Tracer::CurrentTrace(),
+                      static_cast<int64_t>(batch.size()),
+                      static_cast<int64_t>(index));
+  const int64_t t0 = NowNanos();
+  try {
+    src->FeedBatch(std::move(batch));
+  } catch (const std::exception& ex) {
+    poisoned = true;
+    faults.push_back(
+        {index, "exec.exception", std::string("operator threw: ") + ex.what()});
+  } catch (...) {
+    poisoned = true;
+    faults.push_back(
+        {index, "exec.exception", "operator threw a non-std exception"});
+  }
+  // Feeding is synchronous pipelined execution, so the batch's wall time is
+  // every member tuple's source→sink latency.
+  const int64_t wall = NowNanos() - t0;
+  for (int64_t k = 0; k < batch_tuples; ++k) tuple_latency.Record(wall);
+}
+
+std::vector<FaultRecord> CloneFeed::TakeEpoch(Histogram* latency) {
+  latency->Merge(tuple_latency);
+  tuple_latency.Reset();
+  poisoned = false;
+  std::vector<FaultRecord> out;
+  out.swap(faults);
+  return out;
+}
+
 ShardManager::ShardManager(size_t num_shards, size_t queue_capacity)
     : threaded_(UsableCpus() >= 2) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->index = i;
+    shard->feed.index = i;
     if (threaded_) {
       shard->queue = std::make_unique<BoundedQueue<Task>>(queue_capacity);
     }
@@ -51,8 +126,8 @@ void ShardManager::WorkerLoop(Shard* shard) {
   while (shard->queue->DrainInto(&batch)) {
     for (Task& task : batch) RunTask(shard, std::move(task));
   }
-  shard->tuples_processed.store(shard->tuples, std::memory_order_relaxed);
-  shard->sps_processed.store(shard->sps, std::memory_order_relaxed);
+  shard->tuples_processed.store(shard->feed.tuples, std::memory_order_relaxed);
+  shard->sps_processed.store(shard->feed.sps, std::memory_order_relaxed);
 }
 
 void ShardManager::RunTask(Shard* shard, Task task) {
@@ -60,9 +135,9 @@ void ShardManager::RunTask(Shard* shard, Task task) {
     // Epoch barrier: everything routed before the marker has been fed.
     // Publish the counters once per epoch (cheaper than per element, and
     // the engine only reads them at epoch boundaries anyway).
-    shard->poisoned = false;
-    shard->tuples_processed.store(shard->tuples, std::memory_order_relaxed);
-    shard->sps_processed.store(shard->sps, std::memory_order_relaxed);
+    shard->tuples_processed.store(shard->feed.tuples,
+                                  std::memory_order_relaxed);
+    shard->sps_processed.store(shard->feed.sps, std::memory_order_relaxed);
     shard->epochs.fetch_add(1, std::memory_order_relaxed);
     if (threaded_) {
       {
@@ -73,66 +148,8 @@ void ShardManager::RunTask(Shard* shard, Task task) {
     }
     return;
   }
-  // Set when this shard faults mid-epoch; everything further is dropped
-  // (never fed) until the barrier marker. A clone that missed elements may
-  // hold diverged policy/window state — letting it keep emitting could leak
-  // a tuple past the policy the fault interrupted, so the shard goes dark
-  // for the rest of the epoch and the engine quarantines the query.
-  if (shard->poisoned) return;
-  // The injection check stays per *element* (one RNG draw each) so a fault
-  // seed fires after the same number of draws as per-element hand-off. A
-  // fault anywhere in the batch drops the WHOLE batch — feeding a prefix
-  // would leave this clone's policy/window state diverged mid-run, so
-  // nothing from a faulted batch reaches the pipeline (fail closed; the
-  // engine quarantines the epoch).
-  for (size_t i = 0; i < task.batch.size(); ++i) {
-    if (SP_FAULT_FIRED(fault::kOperatorProcess)) {
-      shard->poisoned = true;
-      RecordFault(shard->index, fault::kOperatorProcess,
-                  "injected shard fault; shard dropped the rest of the "
-                  "epoch");
-      return;
-    }
-  }
   shard->feeding.store(1, std::memory_order_relaxed);
-  // None of this decays a columnar batch to rows: the pipeline's columnar
-  // kernels get the batch as routed.
-  task.batch.CountLive(&shard->tuples, &shard->sps);
-  Timestamp traced_sp_ts = -1;
-  auto sample = [&](const StreamElement& e) {
-    if (traced_sp_ts < 0 && e.is_sp() &&
-        Tracer::Global().SampleSpBatch(e.ts())) {
-      traced_sp_ts = e.ts();
-    }
-  };
-  if (task.batch.is_columnar()) {
-    for (const ElementBatch::Special& s : task.batch.specials()) {
-      sample(s.elem);
-    }
-  } else {
-    for (const StreamElement& e : task.batch.elements()) sample(e);
-  }
-  // Shard-side trace context: a batch carrying a sampled sp is part of that
-  // sp-batch's lifecycle (its PushBatch/SS spans join the batch trace,
-  // which is how "which shard converged last" becomes visible); plain
-  // batches attach to the engine's current epoch trace.
-  ScopedTraceContext batch_trace(traced_sp_ts >= 0
-                                     ? SpBatchTraceId(traced_sp_ts)
-                                     : Tracer::Global().epoch_trace());
-  TraceSpan feed_span(TraceCat::kShard, "shard.feed", Tracer::CurrentTrace(),
-                      static_cast<int64_t>(task.batch.size()),
-                      static_cast<int64_t>(shard->index));
-  try {
-    task.src->FeedBatch(std::move(task.batch));
-  } catch (const std::exception& ex) {
-    shard->poisoned = true;
-    RecordFault(shard->index, "exec.exception",
-                std::string("operator threw: ") + ex.what());
-  } catch (...) {
-    shard->poisoned = true;
-    RecordFault(shard->index, "exec.exception",
-                "operator threw a non-std exception");
-  }
+  shard->feed.Feed(task.src, std::move(task.batch));
   shard->feeding.store(0, std::memory_order_relaxed);
 }
 
@@ -143,7 +160,7 @@ void ShardManager::Push(Shard* shard, Task task) {
   TraceSpan wait_span(TraceCat::kShard, "shard.queue_wait",
                       Tracer::Global().epoch_trace(),
                       static_cast<int64_t>(task.batch.size()),
-                      static_cast<int64_t>(shard->index));
+                      static_cast<int64_t>(shard->feed.index));
   // Cancelled means the queue closed under us (engine stopping): the task
   // is dropped — shutdown teardown, not data loss.
   (void)shard->queue->Push(std::move(task));
@@ -157,9 +174,10 @@ void ShardManager::RouteBatch(size_t shard_idx, PushSource* src,
     // The batch never reaches the shard: fail closed by dropping it (the
     // engine discards the epoch and quarantines the query). Barrier markers
     // never pass through here, so the barrier cannot hang on a drop.
-    RecordFault(shard->index, fault::kShardQueuePush,
-                "injected routing fault; dropped " +
-                    std::to_string(batch.size()) + " element(s)");
+    route_faults_.push_back({shard_idx, fault::kShardQueuePush,
+                             "injected routing fault; dropped " +
+                                 std::to_string(batch.size()) +
+                                 " element(s)"});
     return;
   }
   Task task{src, std::move(batch)};
@@ -192,17 +210,14 @@ void ShardManager::CompleteEpoch() {
   barrier_cv_.wait(lock, [&] { return barrier_remaining_ == 0; });
 }
 
-void ShardManager::RecordFault(size_t shard, std::string site,
-                               std::string detail) {
-  std::lock_guard<std::mutex> lock(faults_mu_);
-  epoch_faults_.push_back(
-      FaultRecord{shard, std::move(site), std::move(detail)});
-}
-
-std::vector<ShardManager::FaultRecord> ShardManager::TakeEpochFaults() {
-  std::lock_guard<std::mutex> lock(faults_mu_);
+std::vector<FaultRecord> ShardManager::TakeEpoch(Histogram* latency) {
   std::vector<FaultRecord> out;
-  out.swap(epoch_faults_);
+  out.swap(route_faults_);
+  for (auto& shard : shards_) {
+    for (FaultRecord& f : shard->feed.TakeEpoch(latency)) {
+      out.push_back(std::move(f));
+    }
+  }
   return out;
 }
 

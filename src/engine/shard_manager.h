@@ -7,8 +7,7 @@
 // clone's PolicyTracker converges to the same policy state. Hand-off units
 // are micro-batches (ElementBatch, sized by EngineOptions::batch_size); each
 // is fed whole into the PushSource of its target clone — synchronous
-// pipelined execution inside the shard, exactly like the single-threaded
-// path.
+// pipelined execution inside the shard, exactly like a one-clone group.
 //
 // Who feeds a clone depends on the CPUs the constructing thread may run on
 // (its sched_getaffinity mask):
@@ -18,20 +17,19 @@
 //  - one: no thread at all. RouteBatch feeds the batch on the engine thread
 //    before it returns. Worker threads on one CPU would only take turns with
 //    the engine thread and pay a wake-up and a barrier hand-shake per epoch.
-// Either way one RunTask body feeds a batch, so fault draws, fail-closed
-// poisoning, counters, tracing and exception handling are the same; shard
-// clones, partitioning, per-shard order and the merge by shard id do not
-// depend on the path.
+// Either way CloneFeed::Feed feeds a batch — the same body the engine runs
+// for a group with one clone — so fault draws, fail-closed poisoning,
+// counters, tuple latency, tracing and exception handling do not depend on
+// the path, nor do shard clones, partitioning, per-shard order or the merge
+// by shard id.
 //
 // Epoch barrier: CompleteEpoch() hands one barrier marker to every shard.
 // With workers it blocks until each worker has acknowledged its marker —
 // i.e. fully drained its share of the epoch; without workers every batch
 // was fed at routing time, so the markers are handled inline. Only then
-// does the engine read the per-shard sinks (no lock needed: the clones are
-// provably idle for this epoch's data) and only after Run() returns can the
-// service layer MarkEpochComplete(), so a client's WaitEpoch() still
-// implies its results exist. Workers stay parked between epochs; they are
-// joined by Stop() or the destructor.
+// does the engine read the per-shard sinks and feed state (no lock needed:
+// the clones are provably idle for this epoch's data). Workers stay parked
+// between epochs; they are joined by Stop() or the destructor.
 //
 // Thread-safety contract for the code running on worker threads: operators
 // touch only their own pipeline's state plus the ExecContext catalogs
@@ -50,10 +48,49 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.h"
 #include "exec/operator.h"
 #include "stream/element_queue.h"
 
 namespace spstream {
+
+/// \brief One fault observed between two epoch barriers — an injected
+/// failure (SP_FAULT_FIRED site), an operator exception, or a routing push
+/// that failed. The engine drains these after the barrier and quarantines
+/// the query group the epoch belonged to.
+struct FaultRecord {
+  size_t shard = 0;
+  std::string site;    ///< fault-site name or "exec.exception"
+  std::string detail;  ///< free-form context (what was dropped, why)
+};
+
+/// \brief Feed state of one pipeline clone: a shard's, or the one clone of
+/// an unsharded group. Owned by the thread that feeds the clone (a shard's
+/// worker, or the engine thread); the engine reads it only after the epoch
+/// barrier, when the clone is idle.
+struct CloneFeed {
+  size_t index = 0;  ///< shard index, named in fault records and spans
+  /// Set when the clone faults mid-epoch; every further batch is dropped
+  /// (never fed) until TakeEpoch().
+  bool poisoned = false;
+  int64_t tuples = 0;  ///< live tuples fed, all epochs
+  int64_t sps = 0;     ///< sps fed, all epochs
+  std::vector<FaultRecord> faults;
+  /// Each fed tuple's source→sink latency: the wall time of the FeedBatch
+  /// call that carried it.
+  Histogram tuple_latency;
+
+  /// \brief Feed `batch` whole into `src` (one FeedBatch call) on the
+  /// calling thread, unless the clone is poisoned. One fault draw per
+  /// element first; a fault anywhere drops the whole batch and poisons the
+  /// clone, and so does an operator exception.
+  void Feed(PushSource* src, ElementBatch batch);
+
+  /// \brief End the clone's epoch, on the engine thread after the barrier:
+  /// fold its tuple latency into `*latency`, clear the poison, and return
+  /// the faults recorded since the previous call.
+  std::vector<FaultRecord> TakeEpoch(Histogram* latency);
+};
 
 class ShardManager {
  public:
@@ -80,16 +117,6 @@ class ShardManager {
     size_t queue_peak = 0;
   };
 
-  /// \brief One fault observed between two epoch barriers — an injected
-  /// failure (SP_FAULT_FIRED site), an operator exception, or a routing
-  /// push that failed. The engine drains these after CompleteEpoch() and
-  /// quarantines the query the epoch belonged to.
-  struct FaultRecord {
-    size_t shard = 0;
-    std::string site;    ///< fault-site name or "exec.exception"
-    std::string detail;  ///< free-form context (what was dropped, why)
-  };
-
   explicit ShardManager(size_t num_shards, size_t queue_capacity = 4096);
   ~ShardManager();
 
@@ -114,14 +141,16 @@ class ShardManager {
   /// are quiescent and their sinks safe to read from the calling thread.
   void CompleteEpoch();
 
-  /// \brief Drain the faults recorded since the previous drain. Call right
-  /// after CompleteEpoch(): the engine routes + barriers one query at a
-  /// time, so everything drained here is attributable to that query. A
-  /// shard that faults stops feeding its pipeline until the next barrier
-  /// marker (fail closed: a clone whose policy state may have diverged must
-  /// not keep emitting), so the faulted epoch's partial output is discarded
-  /// by the caller, never delivered.
-  std::vector<FaultRecord> TakeEpochFaults();
+  /// \brief End every shard's epoch (CloneFeed::TakeEpoch): fold their
+  /// tuple latency into `*latency` and return the faults recorded since
+  /// the previous call, routing faults first. Call right after
+  /// CompleteEpoch(): the engine routes + barriers one query group at a
+  /// time, so everything drained here is attributable to that group. A
+  /// shard that faults stops feeding its pipeline until then (fail closed:
+  /// a clone whose policy state may have diverged must not keep emitting),
+  /// so the faulted epoch's partial output is discarded by the caller,
+  /// never delivered.
+  std::vector<FaultRecord> TakeEpoch(Histogram* latency);
 
   /// \brief Close all queues and join the workers. Idempotent; also run by
   /// the destructor. After Stop() the manager routes nothing.
@@ -131,14 +160,12 @@ class ShardManager {
 
  private:
   struct Shard {
-    size_t index = 0;
     std::unique_ptr<BoundedQueue<Task>> queue;  // null without workers
     std::thread worker;
     // Owned by the thread that feeds the shard (its worker, or the engine
-    // thread without workers); published through the atomics below.
-    bool poisoned = false;
-    int64_t tuples = 0;
-    int64_t sps = 0;
+    // thread without workers); its counters are published through the
+    // atomics below at each barrier marker.
+    CloneFeed feed;
     std::atomic<int64_t> tuples_processed{0};
     std::atomic<int64_t> sps_processed{0};
     std::atomic<int64_t> epochs{0};
@@ -150,7 +177,6 @@ class ShardManager {
   void RunTask(Shard* shard, Task task);
   /// Queue one task for the shard's worker.
   void Push(Shard* shard, Task task);
-  void RecordFault(size_t shard, std::string site, std::string detail);
 
   bool threaded_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -159,8 +185,8 @@ class ShardManager {
   std::condition_variable barrier_cv_;
   size_t barrier_remaining_ = 0;
 
-  std::mutex faults_mu_;
-  std::vector<FaultRecord> epoch_faults_;
+  // Routing faults, recorded on the engine thread by RouteBatch.
+  std::vector<FaultRecord> route_faults_;
 
   bool stopped_ = false;
 };

@@ -107,9 +107,8 @@ void StreamServer::Stop() {
   if (!started_) return;
   started_ = false;
   stopping_.store(true, std::memory_order_release);
-  // Wake WaitEpoch/PollResults waiters and the engine thread, join it, then
-  // stop the loops. Engine first: it Posts to loops, never the reverse
-  // while stopping.
+  // Wake the engine thread, join it, then stop the loops. Engine first: it
+  // Posts to loops, never the reverse while stopping.
   service_->Stop();
   {
     std::lock_guard<std::mutex> lock(wake_mu_);
@@ -877,7 +876,7 @@ void StreamServer::RunEpochAndFlush() {
     std::string payload;
   };
   std::vector<Outbound> out;
-  const uint64_t epoch = service_->RunEpoch([&](SpStreamEngine* engine) {
+  service_->RunEpoch([&](SpStreamEngine* engine) {
     // Under the engine lock: drain each subscriber's results and
     // snapshot credit consumption, atomically with the epoch.
     for (auto& [qid, conn] : subscribers_) {
@@ -919,7 +918,6 @@ void StreamServer::RunEpochAndFlush() {
       service_->metrics()->AddCounter("net.credit_frames");
     }
   }
-  service_->MarkEpochComplete(epoch);
   // Refresh per-connection observability gauges once per epoch.
   for (auto& [id, conn] : engine_conns_) PublishConnGauges(*conn);
   service_->metrics()->SetGauge("net.connections_active",

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <set>
@@ -488,6 +489,64 @@ TEST_F(FaultInjectorTest, OperatorProcessFaultQuarantinesOnOneCpu) {
   FaultSpec spec;
   spec.trigger_on_hit = 5;  // mid-batch
   ExpectOneCpuFaultQuarantines(fault::kOperatorProcess, spec);
+}
+
+// A group with one clone (num_shards 1) is fed on the engine thread by the
+// body that feeds a shard: one operator_process draw per element fed, in
+// batches of batch_size elements, each batch's wall time recorded as its
+// tuples' latency, and nothing handed through a shard queue.
+TEST_F(FaultInjectorTest, OneCloneGroupDrawsOncePerElementAndNeverQueues) {
+  QueryId qid;
+  auto engine = SmallEngine(/*num_shards=*/1, &qid);
+  {
+    // Armed to count hits; probability 0 never fires.
+    ScopedFault process(fault::kOperatorProcess, FaultSpec{});
+    ScopedFault push(fault::kShardQueuePush, FaultSpec{});
+    ASSERT_TRUE(engine->Push("A", Segment(1, 0, 199)).ok());  // 200 elements
+    ASSERT_TRUE(engine->Run().ok());
+    const FaultInjector& inj = FaultInjector::Global();
+    EXPECT_EQ(inj.StatsFor(fault::kOperatorProcess).hits, 200);
+    EXPECT_EQ(inj.StatsFor(fault::kShardQueuePush).hits, 0);
+  }
+  EXPECT_EQ(engine->Results(qid)->size(), 199u);
+  const MetricsSnapshot snap = engine->SnapshotMetrics();
+  const QueryMetricsSnapshot* q = snap.FindQuery("q0");
+  ASSERT_NE(q, nullptr);
+  const OperatorMetrics* src = q->FindOperator("push:A");
+  ASSERT_NE(src, nullptr);
+  EXPECT_EQ(src->batches_in, 4);  // 64 + 64 + 64 + 8 at the default size
+  EXPECT_EQ(src->batch_elements_in, 200);
+  EXPECT_EQ(q->tuple_latency.count, 199);
+}
+
+// The one-clone group fails closed like a shard: a fault in its second
+// batch drops that batch and the rest of the epoch, quarantines the group,
+// discards the first batch's output, and the quarantine names the site.
+TEST_F(FaultInjectorTest, OneCloneGroupFaultQuarantinesAndNamesTheSite) {
+  QueryId qid;
+  auto engine = SmallEngine(/*num_shards=*/1, &qid);
+  {
+    FaultSpec spec;
+    spec.trigger_on_hit = 70;  // the 6th element of the second batch
+    ScopedFault armed(fault::kOperatorProcess, spec);
+    ASSERT_TRUE(engine->Push("A", Segment(1, 0, 199)).ok());
+    ASSERT_TRUE(engine->Run().ok());  // fault degrades, never errors
+    // No draw after the fault: the rest of the epoch is dropped undrawn.
+    EXPECT_EQ(FaultInjector::Global().StatsFor(fault::kOperatorProcess).hits,
+              70);
+  }
+  ASSERT_TRUE(*engine->IsQuarantined(qid));
+  EXPECT_EQ(engine->Results(qid)->size(), 0u);
+  EXPECT_EQ(engine->quarantined_count(), 1);
+  const std::vector<AuditEvent> events = engine->audit()->Events();
+  const auto quarantine =
+      std::find_if(events.begin(), events.end(), [](const AuditEvent& e) {
+        return e.kind == AuditEventKind::kQueryQuarantine;
+      });
+  ASSERT_NE(quarantine, events.end());
+  EXPECT_NE(quarantine->detail.str().find(fault::kOperatorProcess),
+            std::string::npos)
+      << quarantine->detail.str();
 }
 
 TEST_F(FaultInjectorTest, HealthyQueriesKeepRunningNextToAQuarantinedOne) {

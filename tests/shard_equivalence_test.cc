@@ -339,8 +339,9 @@ TEST(ShardedEngineTest, ExplainAnalyzeShowsPerShardRows) {
 }
 
 // engine.shard_workers is 0 when the engine was built on one CPU (the
-// engine thread feeds every shard) and one per shard otherwise.
-TEST(ShardedEngineTest, ShardWorkersGaugeFollowsUsableCpus) {
+// engine thread feeds every shard) and one per shard otherwise. Either way
+// the query records one tuple-latency sample per tuple fed.
+TEST(ShardedEngineTest, ShardWorkersFollowUsableCpusAndRecordTupleLatency) {
   auto workers_of = [](bool one_cpu) {
     std::optional<sptest::ScopedSingleCpu> pin;
     if (one_cpu) pin.emplace();
@@ -356,7 +357,18 @@ TEST(ShardedEngineTest, ShardWorkersGaugeFollowsUsableCpus) {
     auto q = engine.RegisterQuery("alice", "SELECT k FROM A");
     EXPECT_TRUE(q.ok());
     if (!q.ok()) return int64_t{-1};
+    std::vector<StreamElement> elems;
+    elems.emplace_back(sptest::MakeSp("A", {0}, 1));
+    for (TupleId i = 0; i < 150; ++i) {
+      elems.emplace_back(sptest::MakeTuple(i, {static_cast<int64_t>(i)},
+                                           static_cast<Timestamp>(2 + i)));
+    }
+    EXPECT_TRUE(engine.Push("A", std::move(elems)).ok());
     EXPECT_TRUE(engine.Run().ok());
+    EXPECT_EQ(engine.Results(*q)->size(), 150u);
+    const MetricsSnapshot snap = engine.SnapshotMetrics();
+    const QueryMetricsSnapshot* qs = snap.FindQuery("q0");
+    EXPECT_EQ(qs != nullptr ? qs->tuple_latency.count : -1, 150);
     auto explain = engine.ExplainQuery(*q, /*analyze=*/true);
     EXPECT_TRUE(explain.ok());
     if (!explain.ok()) return int64_t{-1};

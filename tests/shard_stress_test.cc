@@ -350,7 +350,9 @@ TEST(ShardManagerStress, WorkerHandsColumnarBatchesOverWithoutDecay) {
   ShardManager manager(/*num_shards=*/1);
   manager.RouteBatch(0, src, std::move(batch));
   manager.CompleteEpoch();
-  EXPECT_TRUE(manager.TakeEpochFaults().empty());
+  Histogram tuple_latency;
+  EXPECT_TRUE(manager.TakeEpoch(&tuple_latency).empty());
+  EXPECT_EQ(tuple_latency.count(), 16);
   // The worker counts and samples the batch in place: the sink receives it
   // as one columnar chunk, not a decayed row batch.
   EXPECT_GT(sink->columnar_chunks(), 0u);
