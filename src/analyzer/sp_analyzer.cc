@@ -57,27 +57,6 @@ bool SpAnalyzer::CombineIntoBatch(SecurityPunctuation* sp) {
   return false;
 }
 
-bool SpAnalyzer::PendingBatchRedundant() const {
-  if (last_released_batch_.size() != pending_batch_.size()) return false;
-  for (size_t i = 0; i < pending_batch_.size(); ++i) {
-    const SecurityPunctuation& a = pending_batch_[i];
-    const SecurityPunctuation& b = last_released_batch_[i];
-    if (a.sign() != b.sign() || a.immutable() != b.immutable() ||
-        a.incremental() != b.incremental() ||
-        a.stream_pattern() != b.stream_pattern() ||
-        a.tuple_pattern() != b.tuple_pattern() ||
-        a.attr_pattern() != b.attr_pattern() || a.roles() != b.roles()) {
-      return false;
-    }
-  }
-  // Incremental batches are never redundant re-announcements: re-applying
-  // an edit is not the identity.
-  for (const SecurityPunctuation& sp : pending_batch_) {
-    if (sp.incremental()) return false;
-  }
-  return true;
-}
-
 std::vector<StreamElement> SpAnalyzer::Process(StreamElement elem) {
   std::vector<StreamElement> out;
   if (elem.is_sp()) {
@@ -119,15 +98,6 @@ std::vector<StreamElement> SpAnalyzer::Flush() {
 
 void SpAnalyzer::ReleasePending(std::vector<StreamElement>* out) {
   if (pending_batch_.empty()) return;
-  if (options_.suppress_redundant && PendingBatchRedundant()) {
-    // The batch re-announces the policy already in force: overriding a
-    // policy with itself is the identity, so it can vanish here.
-    stats_.sps_suppressed += static_cast<int64_t>(pending_batch_.size());
-    pending_batch_.clear();
-    batch_ts_.reset();
-    return;
-  }
-  last_released_batch_ = pending_batch_;
   for (SecurityPunctuation& pending : pending_batch_) {
     ++stats_.sps_out;
     out->emplace_back(std::move(pending));

@@ -22,28 +22,15 @@ struct SpAnalyzerStats {
   int64_t sps_in = 0;
   int64_t sps_out = 0;
   int64_t sps_combined = 0;          ///< merged into a preceding same-batch sp
-  int64_t sps_suppressed = 0;        ///< redundant re-announcements dropped
   int64_t sps_refined_by_server = 0; ///< intersected with a server policy
   int64_t immutable_preserved = 0;   ///< immutable sps that skipped refining
-};
-
-struct SpAnalyzerOptions {
-  /// Drop a batch that re-announces exactly the policy already in force
-  /// (same DDP/sign/roles, only a newer ts). Data providers that re-send
-  /// their policy with every block — the common case in the moving-objects
-  /// workload — then cost the engine nothing downstream. Safe because the
-  /// suppressed batch is semantically the override of a policy by itself.
-  bool suppress_redundant = false;
 };
 
 /// \brief Per-stream admission pipeline for punctuated streams.
 class SpAnalyzer {
  public:
-  SpAnalyzer(const RoleCatalog* catalog, std::string stream_name,
-             SpAnalyzerOptions options = {})
-      : catalog_(catalog),
-        stream_name_(std::move(stream_name)),
-        options_(options) {}
+  SpAnalyzer(const RoleCatalog* catalog, std::string stream_name)
+      : catalog_(catalog), stream_name_(std::move(stream_name)) {}
 
   /// \brief Register a server-side policy applying to this stream. It is
   /// translated into sp form and intersected with every arriving mutable sp
@@ -69,19 +56,13 @@ class SpAnalyzer {
   /// (same DDP, sign, immutability): role bitmaps union.
   bool CombineIntoBatch(SecurityPunctuation* sp);
 
-  /// True when the pending batch is a byte-identical (modulo ts)
-  /// re-announcement of the last released batch.
-  bool PendingBatchRedundant() const;
-
-  /// Release (or suppress) the pending batch into `out`.
+  /// Release the pending batch into `out`.
   void ReleasePending(std::vector<StreamElement>* out);
 
   const RoleCatalog* catalog_;
   std::string stream_name_;
-  SpAnalyzerOptions options_;
   std::vector<SecurityPunctuation> server_policies_;
   std::vector<SecurityPunctuation> pending_batch_;
-  std::vector<SecurityPunctuation> last_released_batch_;
   std::optional<Timestamp> batch_ts_;
   SpAnalyzerStats stats_;
 };

@@ -11,8 +11,7 @@
 // Cost model: every site is guarded by the SP_FAULT_FIRED macro, which
 // first checks one relaxed atomic ("is anything armed at all?") — a single
 // predictable-branch load when the injector is idle, which is the always-on
-// production configuration. Defining SPSTREAM_DISABLE_FAULT_INJECTION
-// compiles every site to a `false` literal, removing even that load.
+// production configuration.
 //
 // Sites fire only while armed; ShouldFail() itself is mutex-serialized
 // (sites sit on worker/reader threads), which is acceptable because the
@@ -122,14 +121,10 @@ class ScopedFault {
   std::string site_;
 };
 
-#if defined(SPSTREAM_DISABLE_FAULT_INJECTION)
-#define SP_FAULT_FIRED(site) false
-#else
 /// \brief True when the named fault site fires. One relaxed atomic load
 /// when nothing is armed.
 #define SP_FAULT_FIRED(site)                      \
   (::spstream::FaultInjector::Global().enabled() && \
    ::spstream::FaultInjector::Global().ShouldFail(site))
-#endif
 
 }  // namespace spstream

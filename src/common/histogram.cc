@@ -67,14 +67,6 @@ HistogramSnapshot Histogram::Snapshot() const {
   return s;
 }
 
-std::vector<Histogram::Bucket> Histogram::NonEmptyBuckets() const {
-  std::vector<Bucket> out;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] > 0) out.push_back(Bucket{BucketUpperBound(i), buckets_[i]});
-  }
-  return out;
-}
-
 std::string Histogram::ToString() const {
   std::ostringstream os;
   os << "count=" << count_;

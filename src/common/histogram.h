@@ -60,13 +60,6 @@ class Histogram {
 
   HistogramSnapshot Snapshot() const;
 
-  /// \brief Non-empty (upper_bound, count) pairs in ascending bound order.
-  struct Bucket {
-    int64_t upper_bound;
-    int64_t count;
-  };
-  std::vector<Bucket> NonEmptyBuckets() const;
-
   /// \brief "count=N min=...us p50=...us p90=...us p99=...us max=...us".
   std::string ToString() const;
 

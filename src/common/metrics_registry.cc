@@ -293,12 +293,6 @@ void MetricsRegistry::RecordEpochLatency(const std::string& query,
   ++entry.epochs;
 }
 
-void MetricsRegistry::RecordTupleLatency(const std::string& query,
-                                         int64_t nanos) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queries_[query].tuple_latency.Record(nanos);
-}
-
 void MetricsRegistry::MergeTupleLatency(const std::string& query,
                                         const Histogram& h) {
   if (h.count() == 0) return;

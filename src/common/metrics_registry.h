@@ -92,8 +92,6 @@ class MetricsRegistry {
   // ---- latency ----------------------------------------------------------
   /// \brief Record one Run() epoch's wall time for a query (counts epochs).
   void RecordEpochLatency(const std::string& query, int64_t nanos);
-  /// \brief Record one source→sink tuple latency sample for a query.
-  void RecordTupleLatency(const std::string& query, int64_t nanos);
   /// \brief Fold a locally-accumulated tuple-latency histogram in (one lock
   /// hold per epoch instead of one per tuple).
   void MergeTupleLatency(const std::string& query, const Histogram& h);

@@ -240,33 +240,16 @@ void Tracer::NoteIncident(const char* reason, TraceId trace) {
   dump.trace_id = trace;
   dump.at_nanos = NowNanos();
   CopyRing(flight_, &dump.events);
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(incidents_mu_);
-    incidents_.push_back(std::move(dump));
-    if (incidents_.size() > kMaxIncidentDumps) {
-      incidents_.erase(incidents_.begin());
-    }
-    path = incident_dump_path_;
-    if (!path.empty()) {
-      const IncidentDump& d = incidents_.back();
-      std::string json = ChromeTraceJson(d.events);
-      if (FILE* f = std::fopen(path.c_str(), "w")) {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-      }
-    }
+  std::lock_guard<std::mutex> lock(incidents_mu_);
+  incidents_.push_back(std::move(dump));
+  if (incidents_.size() > kMaxIncidentDumps) {
+    incidents_.erase(incidents_.begin());
   }
 }
 
 std::vector<Tracer::IncidentDump> Tracer::IncidentDumps() const {
   std::lock_guard<std::mutex> lock(incidents_mu_);
   return incidents_;
-}
-
-void Tracer::SetIncidentDumpPath(std::string path) {
-  std::lock_guard<std::mutex> lock(incidents_mu_);
-  incident_dump_path_ = std::move(path);
 }
 
 // ---- snapshots ----------------------------------------------------------
@@ -295,12 +278,6 @@ std::vector<TraceEvent> Tracer::Snapshot() const {
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.start_nanos < b.start_nanos;
                    });
-  return out;
-}
-
-std::vector<TraceEvent> Tracer::FlightEvents() const {
-  std::vector<TraceEvent> out;
-  CopyRing(flight_, &out);
   return out;
 }
 

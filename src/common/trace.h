@@ -33,8 +33,7 @@
 // Sampling: EngineOptions::trace_sample_n (0 = tracing off; N = trace every
 // sp-batch whose timestamp is divisible by N). With tracing disabled no
 // per-thread ring is ever allocated (tests/trace_test.cc holds us to zero
-// allocations), and defining SPSTREAM_DISABLE_TRACING compiles every
-// recording site down to nothing.
+// allocations).
 #pragma once
 
 #include <array>
@@ -203,16 +202,11 @@ class Tracer {
   int64_t incident_count() const {
     return incident_count_.load(std::memory_order_relaxed);
   }
-  /// \brief When set, every incident also rewrites this file with a Chrome
-  /// trace of the flight-recorder snapshot (empty disables).
-  void SetIncidentDumpPath(std::string path);
 
   // ---- snapshots / export ----------------------------------------------
   /// \brief Every retained event across all thread rings plus the flight
   /// recorder, sorted by start time.
   std::vector<TraceEvent> Snapshot() const;
-  /// \brief The flight-recorder ring alone, oldest first.
-  std::vector<TraceEvent> FlightEvents() const;
 
   /// \brief Per-thread span rings ever heap-allocated (test hook for the
   /// "sampling=0 allocates nothing" guarantee).
@@ -285,7 +279,6 @@ class Tracer {
 
   mutable std::mutex incidents_mu_;
   std::vector<IncidentDump> incidents_;
-  std::string incident_dump_path_;
 };
 
 // ---- exporters ----------------------------------------------------------
@@ -311,7 +304,6 @@ class TraceSpan {
   TraceSpan(TraceCat cat, const char* name, TraceId trace, int64_t arg1 = 0,
             int64_t arg2 = 0, SpanId parent = kInheritParent)
       : cat_(cat), name_(name), trace_(trace), arg1_(arg1), arg2_(arg2) {
-#if !defined(SPSTREAM_DISABLE_TRACING)
     if (trace_ != 0 && Tracer::Global().enabled()) {
       Tracer& t = Tracer::Global();
       id_ = t.NextSpanId();
@@ -320,32 +312,19 @@ class TraceSpan {
       Tracer::SetCurrentSpan(id_);
       start_ = NowNanos();
     }
-#else
-    // Compiled-out build: touch the members so -Wunused-private-field stays
-    // quiet; everything folds to nothing.
-    (void)parent;
-    (void)cat_;
-    (void)name_;
-    (void)trace_;
-    (void)parent_;
-    (void)prev_span_;
-#endif
   }
 
   ~TraceSpan() {
-#if !defined(SPSTREAM_DISABLE_TRACING)
     if (start_ != 0) {
       Tracer::SetCurrentSpan(prev_span_);
       Tracer::Global().RecordSpan(cat_, name_, trace_, id_, parent_, start_,
                                   NowNanos() - start_, arg1_, arg2_, arg3_);
     }
-#endif
   }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  bool armed() const { return start_ != 0; }
   SpanId id() const { return id_; }
   void set_args(int64_t a1, int64_t a2, int64_t a3 = 0) {
     arg1_ = a1;
@@ -383,11 +362,7 @@ class ScopedTraceContext {
   TraceId prev_;
 };
 
-#if defined(SPSTREAM_DISABLE_TRACING)
-#define SP_TRACE_ENABLED() false
-#else
 /// \brief Fast-path gate: one relaxed load when tracing is off.
 #define SP_TRACE_ENABLED() (::spstream::Tracer::Global().enabled())
-#endif
 
 }  // namespace spstream

@@ -39,7 +39,6 @@ class Value {
   bool is_double() const { return std::holds_alternative<double>(var_); }
   bool is_string() const { return std::holds_alternative<std::string>(var_); }
   bool is_bool() const { return std::holds_alternative<bool>(var_); }
-  bool is_numeric() const { return is_int64() || is_double(); }
 
   int64_t int64() const { return std::get<int64_t>(var_); }
   double dbl() const { return std::get<double>(var_); }

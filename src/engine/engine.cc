@@ -211,7 +211,6 @@ void SpStreamEngine::SyncAnalyzerStats() {
     metrics_.SetGauge(prefix + "sps_in", s.sps_in);
     metrics_.SetGauge(prefix + "sps_out", s.sps_out);
     metrics_.SetGauge(prefix + "sps_combined", s.sps_combined);
-    metrics_.SetGauge(prefix + "sps_suppressed", s.sps_suppressed);
     metrics_.SetGauge(prefix + "sps_refined_by_server",
                       s.sps_refined_by_server);
     metrics_.SetGauge(prefix + "immutable_preserved", s.immutable_preserved);
@@ -851,10 +850,6 @@ std::string SpStreamEngine::FeedGroup(QueryGroup* g,
   // the barrier by much.
   const size_t batch_size =
       overload_.EffectiveBatchSize(std::max<size_t>(1, options_.batch_size));
-  // Feed columnar above batch size 1 so the kernels engage from the source
-  // on; size 1 keeps the row transport (a one-row columnar batch costs more
-  // than the element it carries).
-  const bool columnar = batch_size > 1;
   // Route this epoch's admitted elements leaf by leaf into one micro-batch
   // per clone: tuples go to their shard (hash of the leaf's shard key), sps
   // and controls to every clone so each clone's policy state converges
@@ -867,9 +862,8 @@ std::string SpStreamEngine::FeedGroup(QueryGroup* g,
         stream_states_.at(stream).pending;
     std::vector<ElementBatch> bufs(clones);
     auto begin = [&](size_t c) {
-      bufs[c] = ElementBatch();
-      if (columnar) bufs[c].BeginColumnar();
-      bufs[c].reserve(std::min(batch_size, pending.size()));
+      bufs[c] = ElementBatch::ForFeed(batch_size,
+                                      std::min(batch_size, pending.size()));
     };
     auto flush = [&](size_t c) {
       PushSource* src = g->physicals[c].sources[leaf].second;

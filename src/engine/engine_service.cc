@@ -76,11 +76,6 @@ std::vector<std::pair<StreamId, SchemaPtr>> EngineService::ListStreams() {
   return out;
 }
 
-Result<StreamId> EngineService::LookupStreamId(const std::string& name) {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  return engine_.streams()->LookupId(name);
-}
-
 Result<std::string> EngineService::StreamName(StreamId id) {
   std::lock_guard<std::mutex> lock(engine_mu_);
   if (id >= engine_.streams()->size()) {

@@ -54,7 +54,6 @@ class EngineService {
   /// \brief Snapshot of the stream catalog: (id, schema) per stream, in id
   /// order — the HELLO_ACK schema negotiation payload.
   std::vector<std::pair<StreamId, SchemaPtr>> ListStreams();
-  Result<StreamId> LookupStreamId(const std::string& name);
   Result<std::string> StreamName(StreamId id);
 
   // ---- epoch pacing -------------------------------------------------------

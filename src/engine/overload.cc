@@ -88,7 +88,7 @@ OverloadState OverloadController::Observe(size_t pending_backlog,
     d = static_cast<double>(last_epoch_nanos) /
         (static_cast<double>(epoch_deadline_ms) * 1e6);
   }
-  pressure_ = std::max(p, std::max(q, d));
+  const double pressure = std::max(p, std::max(q, d));
 
   // The throttle threshold is the low/high watermark ratio, applied to the
   // normalized score so all three signals share one escalation ladder.
@@ -97,9 +97,9 @@ OverloadState OverloadController::Observe(size_t pending_backlog,
       static_cast<double>(options_.pending_high_watermark);
 
   OverloadState next = OverloadState::kNormal;
-  if (pressure_ >= 1.0) {
+  if (pressure >= 1.0) {
     next = OverloadState::kShed;
-  } else if (pressure_ >= throttle_at) {
+  } else if (pressure >= throttle_at) {
     next = OverloadState::kThrottle;
   }
   state_.store(static_cast<uint8_t>(next), std::memory_order_relaxed);

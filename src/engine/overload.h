@@ -131,10 +131,6 @@ class OverloadController {
     return static_cast<OverloadState>(state_.load(std::memory_order_relaxed));
   }
 
-  /// \brief Normalized pressure of the last Observe (1.0 = at the high
-  /// watermark on the hottest signal).
-  double pressure() const { return pressure_; }
-
   /// \brief Decide whether to drop one data tuple at admission. Only valid
   /// to consult in kShed; never called for sps or control boundaries.
   /// `stream_priority` is the highest priority among queries consuming the
@@ -154,7 +150,6 @@ class OverloadController {
   OverloadOptions options_;
   size_t queue_high_watermark_;
   std::atomic<uint8_t> state_{0};
-  double pressure_ = 0.0;
   int64_t tuples_shed_ = 0;     ///< coin flips that came up "drop"
   int64_t shed_decisions_ = 0;  ///< total coin flips while in kShed
   std::mt19937_64 rng_;

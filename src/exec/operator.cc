@@ -78,12 +78,9 @@ void Operator::ForwardBatch(ElementBatch batch) {
 size_t SourceOperator::Poll(size_t max_elements) {
   // One poll = one batch: downstream operators get their batch kernels even
   // for pre-materialized runs (Pipeline::Run's batch_per_poll is the batch
-  // size). Order is exactly the per-element order. Multi-element polls ship
-  // columnar so the SoA kernels engage; a one-element poll keeps the row
-  // transport (same trade-off as the engine feed).
-  ElementBatch batch;
-  if (max_elements > 1) batch.BeginColumnar();
-  batch.reserve(std::min(max_elements, elements_.size() - next_) + 1);
+  // size). Order is exactly the per-element order.
+  ElementBatch batch = ElementBatch::ForFeed(
+      max_elements, std::min(max_elements, elements_.size() - next_) + 1);
   size_t pushed = 0;
   while (pushed < max_elements && next_ < elements_.size()) {
     StreamElement& e = elements_[next_++];

@@ -48,10 +48,7 @@ class Operator {
   void PushBatch(ElementBatch batch, int port = 0);
 
   const std::string& label() const { return label_; }
-  int num_inputs() const { return num_inputs_; }
   const OperatorMetrics& metrics() const { return metrics_; }
-  OperatorMetrics& mutable_metrics() { return metrics_; }
-  ExecContext* ctx() const { return ctx_; }
 
   /// \brief Query this operator executes for ("q0", ...), used to scope
   /// audit events and registry keys. Set by the engine after plan build;
@@ -339,7 +336,6 @@ class Pipeline {
   const std::vector<std::unique_ptr<Operator>>& operators() const {
     return operators_;
   }
-  ExecContext* ctx() const { return ctx_; }
 
  private:
   ExecContext* ctx_;

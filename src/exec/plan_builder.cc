@@ -122,7 +122,6 @@ class PlanCompiler {
     SP_ASSIGN_OR_RETURN(SubtreeInfo right, Compile(node->children[1]));
     SaJoinOptions opts;
     opts.window_size = node->window;
-    opts.left_window_size = node->window;
     opts.right_window_size =
         node->right_window > 0 ? node->right_window : node->window;
     opts.left_key_col = node->left_key;

@@ -45,11 +45,9 @@ void PolicyTracker::FinalizeOpenBatch() {
     batch_incremental_ = false;
     batch_covers_all_ = true;  // the deny-all applies to every tuple
     has_attr_policies_ = false;
-    fail_closed_ = true;
     ++fail_closed_installs_;
     return;
   }
-  fail_closed_ = false;
   previous_policy_ = current_policy_;
   batch_incremental_ = true;
   for (const SecurityPunctuation& sp : open_batch_) {
@@ -80,7 +78,6 @@ void PolicyTracker::FinalizeOpenBatch() {
   }
   current_batch_ = std::move(open_batch_);
   open_batch_.clear();
-  ++batches_installed_;
 
   batch_covers_all_ = true;
   has_attr_policies_ = false;

@@ -43,10 +43,6 @@ class PolicyTracker {
   /// DDPs match only the id), for callers that hold no materialized tuple.
   PolicyPtr PolicyFor(TupleId tid);
 
-  /// \brief The whole-batch policy currently in force (after finalization),
-  /// ignoring per-tuple DDP narrowing.
-  const PolicyPtr& current_policy() const { return current_policy_; }
-
   /// \brief The sps forming the policy currently in force, for downstream
   /// propagation. Valid after the batch is finalized (first tuple seen).
   const std::vector<SecurityPunctuation>& current_batch() const {
@@ -78,18 +74,9 @@ class PolicyTracker {
 
   int64_t stale_sps_dropped() const { return stale_sps_dropped_; }
 
-  /// \brief Sp-batches that took effect (finalized into the policy in
-  /// force) over this tracker's lifetime.
-  int64_t batches_installed() const { return batches_installed_; }
-
   /// \brief Batches whose installation faulted (fault site policy.install):
   /// each flipped this stream to the fail-closed deny-all policy.
   int64_t fail_closed_installs() const { return fail_closed_installs_; }
-
-  /// \brief True while the stream sits under the fail-closed deny-all
-  /// policy; cleared when a newer sp-batch installs successfully (the
-  /// stream "re-converges"). See docs/ROBUSTNESS.md.
-  bool fail_closed() const { return fail_closed_; }
 
   size_t MemoryBytes() const;
 
@@ -105,7 +92,6 @@ class PolicyTracker {
     batch_incremental_ = false;
     batch_covers_all_ = true;
     has_attr_policies_ = false;
-    fail_closed_ = true;
   }
 
  private:
@@ -125,9 +111,7 @@ class PolicyTracker {
   // tuple ids and all attributes — the common fast path.
   bool batch_covers_all_ = false;
   bool has_attr_policies_ = false;
-  bool fail_closed_ = false;
   int64_t stale_sps_dropped_ = 0;
-  int64_t batches_installed_ = 0;
   int64_t fail_closed_installs_ = 0;
 };
 

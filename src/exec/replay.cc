@@ -5,6 +5,11 @@
 
 namespace spstream {
 
+namespace {
+// Elements pushed per scheduler round per source.
+constexpr size_t kElementsPerRound = 64;
+}  // namespace
+
 std::string LatencySummary::ToString() const {
   std::ostringstream os;
   os << "n=" << count << " mean=" << mean_us << "us p50=" << p50_us
@@ -47,16 +52,10 @@ double ReplayWithLatency(Pipeline* pipeline,
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    // Re-read the throttle each round: the controller's tier can change
-    // between rounds as pressure samples arrive.
-    const size_t batch =
-        options.overload
-            ? options.overload->EffectiveBatchSize(options.batch_per_poll)
-            : options.batch_per_poll;
     for (SourceOperator* src : sources) {
       if (src->exhausted()) continue;
       progressed = true;
-      for (size_t i = 0; i < batch && !src->exhausted(); ++i) {
+      for (size_t i = 0; i < kElementsPerRound && !src->exhausted(); ++i) {
         if (gap_nanos > 0) {
           // Busy-wait to the simulated arrival instant (sub-ms gaps; a
           // sleep would be far coarser than the latencies measured).

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "engine/overload.h"
 #include "exec/operator.h"
 
 namespace spstream {
@@ -19,13 +18,6 @@ struct ReplayOptions {
   /// Simulated tuples per millisecond on each source (controls how far
   /// apart arrival stamps are placed). <= 0 means back-to-back arrival.
   double arrival_rate_per_ms = 0;
-  /// Elements pushed per scheduler round per source.
-  size_t batch_per_poll = 64;
-  /// Optional overload controller: when set, every scheduler round polls
-  /// at the controller's EffectiveBatchSize(batch_per_poll) instead of the
-  /// full batch — tier-1 degradation (kThrottle) applied at the source,
-  /// before elements ever enter the plan. Not owned.
-  const OverloadController* overload = nullptr;
 };
 
 /// \brief Latency distribution summary (microseconds).

@@ -87,7 +87,7 @@ void SaDistinct::Process(StreamElement&& elem, int) {
                             options_.output_stream_name, *ctx_->roles));
       }
       Tuple out = std::move(t);
-      out.sid = options_.output_sid;
+      out.sid = 0;  // derived streams carry sid 0
       EmitTuple(std::move(out));
     }
     UpdateStateBytes();
@@ -105,7 +105,7 @@ void SaDistinct::Process(StreamElement&& elem, int) {
                           options_.output_stream_name, *ctx_->roles));
     }
     Tuple out = std::move(t);
-    out.sid = options_.output_sid;
+    out.sid = 0;  // derived streams carry sid 0
     EmitTuple(std::move(out));
   } else {
     ++metrics_.tuples_dropped_predicate;  // duplicate for every role

@@ -28,7 +28,6 @@ struct SaDistinctOptions {
   Timestamp window_size = 1000;  ///< sliding-window extent
   std::string stream_name;       ///< input stream (DDP matching)
   std::string output_stream_name = "distinct_out";
-  StreamId output_sid = 0;
 };
 
 class SaDistinct : public Operator {

@@ -110,7 +110,6 @@ void SaGroupBy::EmitAsgResult(const Asg& asg, Timestamp ts) {
                         options_.output_stream_name, *ctx_->roles));
   }
   Tuple out;
-  out.sid = options_.output_sid;
   out.tid = 0;
   out.ts = ts;
   out.values = {asg.key, CurrentAggregate(asg)};
@@ -126,9 +125,6 @@ void SaGroupBy::Invalidate(Timestamp now) {
     AsgPtr root = Find(rec.asg);
     dirty_keys_.insert(root->key);
     RemoveFromAsg(root, rec.agg_value);  // expiry update (2nd change)
-    if (options_.emit_on_expiry && root->count > 0) {
-      EmitAsgResult(*root, now);
-    }
     if (root->count <= 0) {
       auto git = groups_.find(root->key);
       if (git != groups_.end()) {

@@ -36,10 +36,6 @@ struct SaGroupByOptions {
   Timestamp window_size = 1000;
   std::string stream_name;
   std::string output_stream_name = "groupby_out";
-  StreamId output_sid = 0;
-  /// Emit a refreshed result when expiry changes an aggregate (in addition
-  /// to the always-on emission on arrival).
-  bool emit_on_expiry = false;
 };
 
 class SaGroupBy : public Operator {

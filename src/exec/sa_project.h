@@ -16,8 +16,6 @@ class SaProject : public Operator {
   SaProject(ExecContext* ctx, std::vector<int> keep_columns,
             SchemaPtr input_schema, std::string label = "project");
 
-  const std::vector<int>& keep_columns() const { return keep_columns_; }
-
   /// \brief Schema of the projected output.
   const SchemaPtr& output_schema() const { return output_schema_; }
 

@@ -16,8 +16,6 @@ class SaSelect : public Operator {
   SaSelect(ExecContext* ctx, ExprPtr predicate, std::string label = "select")
       : Operator(ctx, std::move(label)), predicate_(std::move(predicate)) {}
 
-  const ExprPtr& predicate() const { return predicate_; }
-
  protected:
   void Process(StreamElement&& elem, int) override;
   /// Columnar kernel: compile the predicate once (row fallback when it has

@@ -90,7 +90,7 @@ void SaSetOp::Process(StreamElement&& elem, int port) {
     EmitSp(SynthesizeSp(out_roles, output_emitter_.MonotoneTs(t.ts),
                         options_.output_stream_name, *ctx_->roles));
   }
-  t.sid = options_.output_sid;
+  t.sid = 0;  // derived streams carry sid 0
   EmitTuple(std::move(t));
 }
 

@@ -28,7 +28,6 @@ struct SaSetOpOptions {
   std::string left_stream_name;
   std::string right_stream_name;
   std::string output_stream_name = "setop_out";
-  StreamId output_sid = 0;
 };
 
 /// \brief Windowed security-aware INTERSECT / EXCEPT over full tuple

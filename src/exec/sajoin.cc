@@ -36,9 +36,7 @@ SaJoinBase::SaJoinBase(ExecContext* ctx, SaJoinOptions options,
       options_(std::move(options)),
       trackers_{PolicyTracker(ctx->roles, options_.left_stream_name),
                 PolicyTracker(ctx->roles, options_.right_stream_name)},
-      windows_{SegmentedWindow(options_.left_window_size > 0
-                                   ? options_.left_window_size
-                                   : options_.window_size),
+      windows_{SegmentedWindow(options_.window_size),
                SegmentedWindow(options_.right_window_size > 0
                                    ? options_.right_window_size
                                    : options_.window_size)} {}
@@ -94,7 +92,6 @@ void SaJoinBase::EmitJoinResult(const Tuple& left, const Tuple& right,
                         options_.output_stream_name, *ctx_->roles));
   }
   Tuple out;
-  out.sid = options_.output_sid;
   // Direction-stable derived tuple id: Rule 4 (join commutativity) must
   // hold for the full tuple, metadata included.
   out.tid = std::max(left.tid, right.tid);
@@ -275,17 +272,15 @@ void SpIndex::Remove(Segment* segment) {
   --entry_count_;
 }
 
-size_t SpIndex::Probe(
+void SpIndex::Probe(
     const RoleSet& probe_roles, bool use_skipping_rule,
     const std::function<void(Segment*, bool first_visit)>& fn) {
-  size_t touched = 0;
   ++stamp_;
   std::vector<RoleId> roles = probe_roles.ToIds();
   for (RoleId r : roles) {
     if (r >= rnodes_.size()) continue;
     Entry* cur = rnodes_[r].head;
     while (cur != nullptr) {
-      ++touched;
       size_t slot = 0;
       FindEntrySlot(cur, r, &slot);
       Entry* nxt = cur->next[slot];
@@ -318,7 +313,6 @@ size_t SpIndex::Probe(
       cur = nxt;
     }
   }
-  return touched;
 }
 
 // ---- durable state (docs/DURABILITY.md) ------------------------------------
@@ -421,7 +415,7 @@ void SaJoinIndex::Probe(const Tuple& t, const PolicyPtr& t_policy,
       EmitJoinResult(u, t, seg.policy, t_policy);
     }
   };
-  entries_scanned_ += static_cast<int64_t>(indexes_[opp].Probe(
+  indexes_[opp].Probe(
       t_policy->allowed(), options_.use_skipping_rule,
       [&](Segment* seg, bool first_visit) {
         ++segments_processed_;
@@ -445,7 +439,7 @@ void SaJoinIndex::Probe(const Tuple& t, const PolicyPtr& t_policy,
           if (!first_visit) continue;
           emit(u, *seg);
         }
-      }));
+      });
 }
 
 }  // namespace spstream

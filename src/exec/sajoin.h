@@ -27,17 +27,15 @@ namespace spstream {
 
 /// \brief Configuration shared by both SAJoin variants.
 struct SaJoinOptions {
-  Timestamp window_size = 1000;  ///< time-based window extent (both sides)
-  /// Per-side overrides (CQL gives each stream its own [RANGE n]); <= 0
-  /// falls back to window_size.
-  Timestamp left_window_size = 0;
+  /// Time-based window extent: the left side's, and the right side's too
+  /// unless right_window_size > 0 (CQL gives each stream its own [RANGE n]).
+  Timestamp window_size = 1000;
   Timestamp right_window_size = 0;
   int left_key_col = 0;          ///< equijoin column on port 0
   int right_key_col = 0;         ///< equijoin column on port 1
   std::string left_stream_name;
   std::string right_stream_name;
   std::string output_stream_name = "join_out";
-  StreamId output_sid = 0;
 
   /// Nested-loop probe order (§V.B.1): probe-and-filter checks the join
   /// value first, filter-and-probe checks policy compatibility first.
@@ -179,9 +177,8 @@ class SpIndex {
   /// baseline — fn fires once per shared role; `first_visit` is false on
   /// re-encounters so callers can suppress duplicate emission while still
   /// paying the duplicate processing cost.
-  /// \return number of index entries touched (scan-work metric).
-  size_t Probe(const RoleSet& probe_roles, bool use_skipping_rule,
-               const std::function<void(Segment*, bool first_visit)>& fn);
+  void Probe(const RoleSet& probe_roles, bool use_skipping_rule,
+             const std::function<void(Segment*, bool first_visit)>& fn);
 
   size_t entry_count() const { return entry_count_; }
   /// O(1): entry bytes are counted at Insert and Remove.
@@ -225,9 +222,6 @@ class SaJoinIndex : public SaJoinBase {
   SaJoinIndex(ExecContext* ctx, SaJoinOptions options,
               std::string label = "sajoin_index");
 
-  /// \brief Index entries scanned so far (work metric for Lemma 5.1 tests).
-  int64_t index_entries_scanned() const { return entries_scanned_; }
-
   /// \brief Segment probings performed. With the skipping rule each
   /// compatible segment is probed once per tuple; the naive mode probes it
   /// once per shared role — the duplicate work Lemma 5.1 eliminates.
@@ -246,7 +240,6 @@ class SaJoinIndex : public SaJoinBase {
  private:
   SpIndex indexes_[2];  // one SPIndex per input window
   std::vector<uint64_t> hits_;  // key-map lookup buffer, reused per probe
-  int64_t entries_scanned_ = 0;
   int64_t segments_processed_ = 0;
 };
 

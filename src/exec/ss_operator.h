@@ -55,7 +55,6 @@ class SsState {
   /// \brief Union of all predicate role sets.
   const RoleSet& predicate_union() const { return union_; }
 
-  size_t predicate_count() const { return predicates_.size(); }
   size_t MemoryBytes() const;
 
  private:

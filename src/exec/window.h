@@ -136,7 +136,6 @@ class SegmentedWindow {
 
   size_t tuple_count() const { return tuple_count_; }
   size_t segment_count() const { return segments_.size(); }
-  Timestamp window_size() const { return window_size_; }
 
   // ---- incremental checkpointing (docs/DURABILITY.md) --------------------
   // The delta records only what changed since the last DURABLE checkpoint:

@@ -151,9 +151,4 @@ ConnState::FlushStatus ConnState::Flush(std::string* error) {
   }
 }
 
-bool ConnState::has_pending_output() const {
-  std::lock_guard<std::mutex> lock(out_mu_);
-  return !outq_.empty();
-}
-
 }  // namespace spstream

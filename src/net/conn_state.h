@@ -66,8 +66,6 @@ struct ConnState {
   /// On kError `error` holds the reason (eviction audit detail).
   FlushStatus Flush(std::string* error);
 
-  bool has_pending_output() const;
-
   // ---- identity --------------------------------------------------------
   const int id;
   const int fd;

@@ -83,8 +83,6 @@ class TimerWheel {
   /// else the ms until the next tick boundary.
   int NextTimeoutMs(int64_t now_ms) const;
 
-  size_t armed() const { return armed_; }
-
  private:
   struct Entry {
     int64_t due_ms;

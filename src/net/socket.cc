@@ -127,16 +127,6 @@ Result<int> TcpConnect(const std::string& host, uint16_t port) {
   return last;
 }
 
-Status SetSendTimeoutMs(int fd, int millis) {
-  timeval tv{};
-  tv.tv_sec = millis / 1000;
-  tv.tv_usec = (millis % 1000) * 1000;
-  if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) < 0) {
-    return Errno("setsockopt(SO_SNDTIMEO)");
-  }
-  return Status::OK();
-}
-
 Result<bool> WaitReadable(int fd, int timeout_ms) {
   pollfd pfd{};
   pfd.fd = fd;
@@ -169,10 +159,6 @@ Status WriteAll(int fd, std::string_view data) {
 
 void CloseSocket(int fd) {
   if (fd >= 0) ::close(fd);
-}
-
-void ShutdownSocket(int fd) {
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 Result<Frame> ReadFrame(int fd) {

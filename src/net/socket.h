@@ -35,22 +35,15 @@ Result<int> TcpAcceptNonBlocking(int listen_fd);
 /// \brief Blocking connect to host:port (numeric or resolvable name).
 Result<int> TcpConnect(const std::string& host, uint16_t port);
 
-/// \brief SO_SNDTIMEO — a blocked send returns after `millis` instead of
-/// stalling forever behind a slow peer (the server's eviction detector).
-Status SetSendTimeoutMs(int fd, int millis);
-
 /// \brief Block until fd is readable; false on timeout (-1 = no timeout).
 Result<bool> WaitReadable(int fd, int timeout_ms);
 
-/// \brief Write all of `data` (retrying short writes). A send-timeout
-/// expiry surfaces as an error — by then the peer is stalled.
+/// \brief Write all of `data` (retrying short writes). A send that would
+/// block (EAGAIN) surfaces as an error — by then the peer is stalled.
 Status WriteAll(int fd, std::string_view data);
 
 /// \brief Half-close + close, ignoring errors (idempotent teardown).
 void CloseSocket(int fd);
-
-/// \brief Wake any thread blocked reading/writing fd (shutdown(2)).
-void ShutdownSocket(int fd);
 
 // ---- framed I/O ------------------------------------------------------------
 

@@ -78,11 +78,6 @@ class CostModel {
   }
 
   const CostModelOptions& options() const { return options_; }
-  CostModelOptions& mutable_options() { return options_; }
-
-  void SetSourceStats(const std::string& stream, SourceStats stats) {
-    sources_[stream] = stats;
-  }
 
   /// \brief Estimated fraction of segments an SS with these (conjunctive)
   /// predicates lets through.

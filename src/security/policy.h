@@ -107,9 +107,6 @@ class PolicyBuilder {
   Policy Build() const {
     return Policy(RoleSet::Difference(positive_, negative_), ts_);
   }
-  PolicyPtr BuildShared() const {
-    return std::make_shared<const Policy>(Build());
-  }
 
   Timestamp ts() const { return ts_; }
 

@@ -42,8 +42,6 @@ class RoleCatalog {
   /// \brief Number of registered roles (ids are [0, size)).
   size_t size() const { return names_.size(); }
 
-  const std::vector<std::string>& names() const { return names_; }
-
   /// \brief Convenience: register "r1".."rN" style synthetic roles, returning
   /// their ids. Used by workload generators and benchmarks.
   std::vector<RoleId> RegisterSyntheticRoles(size_t count,
@@ -88,7 +86,6 @@ class Subject {
   Subject(std::string name, std::vector<RoleId> roles)
       : name_(std::move(name)), roles_(std::move(roles)) {}
 
-  const std::string& name() const { return name_; }
   const std::vector<RoleId>& roles() const { return roles_; }
 
   /// \brief Activate an additional role; fails once frozen.

@@ -128,7 +128,6 @@ class SecurityPunctuation {
   Sign sign() const { return sign_; }
   bool immutable() const { return immutable_; }
   Timestamp ts() const { return ts_; }
-  void set_ts(Timestamp ts) { ts_ = ts; }
 
   /// \brief Incremental policy change (the paper's §IX future-work
   /// extension): instead of *overriding* the policy in force, an

@@ -70,7 +70,6 @@ class DiskManager {
   /// missing.
   static Result<std::unique_ptr<DiskManager>> Open(std::string root);
 
-  const std::string& root() const { return root_; }
   std::string Path(std::string_view rel) const;
 
   /// \brief File names (not paths) directly under `rel`, unsorted.

@@ -376,11 +376,6 @@ bool DurabilityManager::WantsFullCheckpoint() const {
   return manifest_.delta_epochs.size() + 1 >= kRebaseEvery;
 }
 
-uint64_t DurabilityManager::committed_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return have_manifest_ ? manifest_.meta.epoch : 0;
-}
-
 Result<std::vector<StateEntry>> DurabilityManager::ReadQueryCheckpoint(
     uint32_t query) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -136,8 +136,6 @@ class DurabilityManager {
   Status CommitEpoch(const EpochMeta& meta, bool full,
                      const std::vector<StateEntry>& entries);
 
-  uint64_t committed_epoch() const;
-
   /// \brief Re-read the committed delta chain and return one query's state
   /// entries, oldest first — the same blobs a process restart would replay,
   /// filtered to `query`. Used by in-process quarantine recovery

@@ -67,7 +67,6 @@ class WalWriter {
   /// \brief Stage one record for the next Commit. Never touches disk.
   void Append(WalRecordType type, std::string_view payload);
 
-  bool HasStaged() const { return !staged_.empty(); }
   size_t staged_records() const { return staged_records_; }
 
   /// \brief Group commit: write all staged frames, fdatasync once. On the

@@ -61,6 +61,17 @@ class ElementBatch {
 
   bool is_columnar() const { return columnar_; }
 
+  /// \brief An empty batch for a feed that ships `batch_size` elements per
+  /// batch, reserved to `n`. It is columnar above batch size 1, so the
+  /// kernels engage from the source on; size 1 keeps the row transport (a
+  /// one-row columnar batch costs more than the element it carries).
+  static ElementBatch ForFeed(size_t batch_size, size_t n) {
+    ElementBatch batch;
+    if (batch_size > 1) batch.BeginColumnar();
+    batch.reserve(n);
+    return batch;
+  }
+
   /// \brief Switch an EMPTY batch to the columnar representation. The
   /// column count latches from the first appended tuple; a later tuple
   /// with a different arity (or a type-conflicting value) decays the batch
@@ -147,9 +158,7 @@ class ElementBatch {
   const ColumnVector& column(size_t i) const { return cols_[i]; }
   std::vector<ColumnVector>& mutable_columns() { return cols_; }
 
-  StreamId sid_at(size_t row) const { return sids_[row]; }
   TupleId tid_at(size_t row) const { return tids_[row]; }
-  Timestamp ts_at(size_t row) const { return tss_[row]; }
 
   std::vector<Special>& specials() { return specials_; }
   const std::vector<Special>& specials() const { return specials_; }

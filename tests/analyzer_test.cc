@@ -146,36 +146,19 @@ TEST_F(SpAnalyzerTest, NegativeProviderSpsPassThroughUnrefined) {
   EXPECT_EQ(out[1].sp().roles(), RoleSet::Of(ids_[2]));
 }
 
-TEST_F(SpAnalyzerTest, SuppressesRedundantReAnnouncements) {
-  SpAnalyzerOptions opts;
-  opts.suppress_redundant = true;
-  SpAnalyzer analyzer(&catalog_, "s", opts);
-  auto feed = [&](std::vector<StreamElement> elements) {
-    std::vector<StreamElement> out;
-    for (auto& e : elements) {
-      for (auto& fwd : analyzer.Process(std::move(e))) {
-        out.push_back(std::move(fwd));
-      }
-    }
-    for (auto& fwd : analyzer.Flush()) out.push_back(std::move(fwd));
-    return out;
-  };
-  // The same {r0} policy re-announced with every block: only the first sp
-  // survives; a CHANGED policy always gets through.
-  auto out = feed({StreamElement(MakeSp("s", {ids_[0]}, 1)),
+TEST_F(SpAnalyzerTest, ReAnnouncedPolicyKeepsPerTupleAnnotations) {
+  // The same {r0} policy re-announced with every block, then a changed
+  // one: every sp is forwarded ahead of its tuples.
+  auto out = Feed({StreamElement(MakeSp("s", {ids_[0]}, 1)),
                    StreamElement(MakeTuple(1, {1}, 1)),
-                   StreamElement(MakeSp("s", {ids_[0]}, 5)),   // redundant
+                   StreamElement(MakeSp("s", {ids_[0]}, 5)),
                    StreamElement(MakeTuple(2, {2}, 5)),
-                   StreamElement(MakeSp("s", {ids_[0]}, 9)),   // redundant
+                   StreamElement(MakeSp("s", {ids_[0]}, 9)),
                    StreamElement(MakeTuple(3, {3}, 9)),
-                   StreamElement(MakeSp("s", {ids_[1]}, 12)),  // changed!
+                   StreamElement(MakeSp("s", {ids_[1]}, 12)),
                    StreamElement(MakeTuple(4, {4}, 12))});
-  size_t sps = 0;
-  for (auto& e : out) sps += e.is_sp();
-  EXPECT_EQ(sps, 2u);
-  EXPECT_EQ(analyzer.stats().sps_suppressed, 2);
-  // Safety check: downstream enforcement is unchanged — tuple 1..3 under
-  // {r0}, tuple 4 under {r1}.
+  EXPECT_EQ(analyzer_->stats().sps_out, 4);
+  // Tuples 1..3 under {r0}, tuple 4 under {r1}.
   auto annotated = sptest::ReferenceAnnotate(out, "s");
   ASSERT_EQ(annotated.size(), 4u);
   EXPECT_EQ(annotated[0].roles, RoleSet::Of(ids_[0]));
@@ -183,10 +166,7 @@ TEST_F(SpAnalyzerTest, SuppressesRedundantReAnnouncements) {
   EXPECT_EQ(annotated[3].roles, RoleSet::Of(ids_[1]));
 }
 
-TEST_F(SpAnalyzerTest, SuppressionNeverDropsIncrementalBatches) {
-  SpAnalyzerOptions opts;
-  opts.suppress_redundant = true;
-  SpAnalyzer analyzer(&catalog_, "s", opts);
+TEST_F(SpAnalyzerTest, ForwardsRepeatedIncrementalBatches) {
   SecurityPunctuation delta = MakeSp("s", {ids_[0]}, 5);
   delta.set_incremental(true);
   SecurityPunctuation delta2 = MakeSp("s", {ids_[0]}, 9);
@@ -195,14 +175,13 @@ TEST_F(SpAnalyzerTest, SuppressionNeverDropsIncrementalBatches) {
   for (auto e : {StreamElement(delta), StreamElement(MakeTuple(1, {1}, 5)),
                  StreamElement(delta2),
                  StreamElement(MakeTuple(2, {2}, 9))}) {
-    for (auto& fwd : analyzer.Process(std::move(e))) {
+    for (auto& fwd : analyzer_->Process(std::move(e))) {
       out.push_back(std::move(fwd));
     }
   }
   size_t sps = 0;
   for (auto& e : out) sps += e.is_sp();
   EXPECT_EQ(sps, 2u);  // both deltas kept
-  EXPECT_EQ(analyzer.stats().sps_suppressed, 0);
 }
 
 TEST_F(SpAnalyzerTest, FlushReleasesTrailingBatch) {

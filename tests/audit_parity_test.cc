@@ -294,6 +294,56 @@ TEST(AuditParityPolicyChangeTest, DetailChangesAtFirstTupleOfNewBatch) {
   }
 }
 
+/// What one run of the join-denial workload produced.
+struct JoinDenialRun {
+  std::vector<Tuple> results;
+  std::vector<AuditEvent> denials;
+  int64_t denial_count = 0;     ///< AuditLog::CountOf(kDenial)
+  int64_t security_drops = 0;   ///< engine-wide tuples_dropped_security
+};
+
+/// Two streams whose policies never intersect: A grants R0; B grants R1,
+/// then {R1, R2}. Every A-B key match pairs incompatible policies.
+JoinDenialRun RunJoinDenialWorkload(const EngineOptions& opts) {
+  JoinDenialRun run;
+  SpStreamEngine engine(opts);
+  const RoleId r0 = engine.RegisterRole("R0");
+  const RoleId r1 = engine.RegisterRole("R1");
+  const RoleId r2 = engine.RegisterRole("R2");
+  EXPECT_TRUE(engine
+                  .RegisterStream(MakeSchema(
+                      "A", {Field{"k", ValueType::kInt64},
+                            Field{"v", ValueType::kInt64}}))
+                  .ok());
+  EXPECT_TRUE(
+      engine.RegisterStream(MakeSchema("B", {Field{"k", ValueType::kInt64}}))
+          .ok());
+  EXPECT_TRUE(engine.RegisterSubject("alice", {"R0", "R1"}).ok());
+  auto q = engine.RegisterQuery(
+      "alice", "SELECT A.v FROM A [RANGE 64], B [RANGE 64] WHERE A.k = B.k");
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  if (!q.ok()) return run;
+  EXPECT_TRUE(engine
+                  .Push("A", {StreamElement(MakeSp("A", {r0}, 1)),
+                              StreamElement(sptest::MakeTuple(1, {7, 70}, 1))})
+                  .ok());
+  EXPECT_TRUE(engine
+                  .Push("B", {StreamElement(MakeSp("B", {r1}, 2)),
+                              StreamElement(sptest::MakeTuple(2, {7}, 2, 1)),
+                              StreamElement(MakeSp("B", {r1, r2}, 3)),
+                              StreamElement(sptest::MakeTuple(3, {7}, 3, 1))})
+                  .ok());
+  EXPECT_TRUE(engine.Run().ok());
+  run.results = engine.Results(*q).value();
+  for (const AuditEvent& e : engine.audit()->Events()) {
+    if (e.kind == AuditEventKind::kDenial) run.denials.push_back(e);
+  }
+  run.denial_count = engine.audit()->CountOf(AuditEventKind::kDenial);
+  run.security_drops =
+      engine.SnapshotMetrics().engine_totals.tuples_dropped_security;
+  return run;
+}
+
 // A join result whose base policies do not intersect is denied with the
 // two policies' roles rendered as "A∩B". The nested-loop probe-and-filter
 // join denies while probing, the probing tuple's policy first. (The index
@@ -302,39 +352,9 @@ TEST(AuditParityPolicyChangeTest, DetailChangesAtFirstTupleOfNewBatch) {
 TEST(AuditParityJoinTest, JoinDenialRendersBothPolicies) {
   EngineOptions opts;
   opts.physical.join_impl = PhysicalPlanOptions::JoinImpl::kNestedLoop;
-  SpStreamEngine engine(opts);
-  const RoleId r0 = engine.RegisterRole("R0");
-  const RoleId r1 = engine.RegisterRole("R1");
-  const RoleId r2 = engine.RegisterRole("R2");
-  ASSERT_TRUE(engine
-                  .RegisterStream(MakeSchema(
-                      "A", {Field{"k", ValueType::kInt64},
-                            Field{"v", ValueType::kInt64}}))
-                  .ok());
-  ASSERT_TRUE(
-      engine.RegisterStream(MakeSchema("B", {Field{"k", ValueType::kInt64}}))
-          .ok());
-  ASSERT_TRUE(engine.RegisterSubject("alice", {"R0", "R1"}).ok());
-  auto q = engine.RegisterQuery(
-      "alice", "SELECT A.v FROM A [RANGE 64], B [RANGE 64] WHERE A.k = B.k");
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  ASSERT_TRUE(engine
-                  .Push("A", {StreamElement(MakeSp("A", {r0}, 1)),
-                              StreamElement(sptest::MakeTuple(1, {7, 70}, 1))})
-                  .ok());
-  ASSERT_TRUE(engine
-                  .Push("B", {StreamElement(MakeSp("B", {r1}, 2)),
-                              StreamElement(sptest::MakeTuple(2, {7}, 2, 1)),
-                              StreamElement(MakeSp("B", {r1, r2}, 3)),
-                              StreamElement(sptest::MakeTuple(3, {7}, 3, 1))})
-                  .ok());
-  ASSERT_TRUE(engine.Run().ok());
-  EXPECT_TRUE(engine.Results(*q)->empty());
-
-  std::vector<AuditEvent> denials;
-  for (const AuditEvent& e : engine.audit()->Events()) {
-    if (e.kind == AuditEventKind::kDenial) denials.push_back(e);
-  }
+  const JoinDenialRun run = RunJoinDenialWorkload(opts);
+  EXPECT_TRUE(run.results.empty());
+  const std::vector<AuditEvent>& denials = run.denials;
   ASSERT_EQ(denials.size(), 2u);
   EXPECT_EQ(denials[0].roles, "{R1}∩{R0}") << denials[0].ToString();
   EXPECT_EQ(denials[0].tuple_id, 2);
@@ -345,8 +365,54 @@ TEST(AuditParityJoinTest, JoinDenialRendersBothPolicies) {
   for (const AuditEvent& e : denials) {
     EXPECT_EQ(e.detail, "join policies incompatible (empty intersection)");
   }
-  EXPECT_EQ(engine.audit()->CountOf(AuditEventKind::kDenial),
-            engine.SnapshotMetrics().engine_totals.tuples_dropped_security);
+  EXPECT_EQ(run.denial_count, run.security_drops);
+}
+
+// The same workload over the four join configurations: every one delivers
+// the same result tuples, but only the nested-loop probe-and-filter join
+// ever forms an incompatible pair, so only it audits denials. The index
+// join (with or without the skipping rule) and filter-and-probe skip
+// incompatible segments before matching keys, and the empty-intersection
+// branch of SaJoinBase::EmitJoinResult is never reached. These counts pin
+// today's behaviour; which denial count the paper implies is open.
+TEST(AuditParityJoinTest, FourJoinsAgreeOnResultsAndPinDenialCounts) {
+  using JoinImpl = PhysicalPlanOptions::JoinImpl;
+  using ProbeMethod = SaJoinOptions::ProbeMethod;
+  struct Config {
+    const char* name;
+    JoinImpl impl;
+    ProbeMethod probe;
+    bool skipping;
+    int64_t denials;
+  };
+  const Config configs[] = {
+      {"nl probe-and-filter", JoinImpl::kNestedLoop,
+       ProbeMethod::kProbeAndFilter, true, 2},
+      {"nl filter-and-probe", JoinImpl::kNestedLoop,
+       ProbeMethod::kFilterAndProbe, true, 0},
+      {"index, skipping rule", JoinImpl::kIndex, ProbeMethod::kProbeAndFilter,
+       true, 0},
+      {"index, no skipping rule", JoinImpl::kIndex,
+       ProbeMethod::kProbeAndFilter, false, 0},
+  };
+  std::vector<Tuple> reference;
+  for (size_t i = 0; i < std::size(configs); ++i) {
+    const Config& c = configs[i];
+    SCOPED_TRACE(c.name);
+    EngineOptions opts;
+    opts.physical.join_impl = c.impl;
+    opts.physical.probe_method = c.probe;
+    opts.physical.use_skipping_rule = c.skipping;
+    const JoinDenialRun run = RunJoinDenialWorkload(opts);
+    if (i == 0) {
+      reference = run.results;
+    } else {
+      EXPECT_EQ(run.results, reference);
+    }
+    EXPECT_EQ(run.denial_count, c.denials);
+    EXPECT_EQ(static_cast<int64_t>(run.denials.size()), c.denials);
+    EXPECT_EQ(run.denial_count, run.security_drops);
+  }
 }
 
 }  // namespace

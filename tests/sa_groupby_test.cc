@@ -186,25 +186,6 @@ TEST_F(SaGroupByTest, DenyAllSubgroupNeverEmitted) {
   EXPECT_TRUE(r.sps.empty());
 }
 
-TEST_F(SaGroupByTest, EmitOnExpiryOption) {
-  SaGroupByOptions o = Options(AggFn::kCount, /*window=*/10);
-  o.emit_on_expiry = true;
-  std::vector<StreamElement> input;
-  input.emplace_back(MakeSp("s", {ids_[0]}, 1));
-  input.emplace_back(MakeTuple(1, {5, 1}, 1));
-  input.emplace_back(MakeTuple(2, {5, 1}, 2));
-  input.emplace_back(MakeTuple(3, {5, 1}, 50));  // expires the first two
-  auto r = RunUnary(&ctx_, std::move(input), [&](Pipeline* p) {
-    return p->Add<SaGroupBy>(o);
-  });
-  // Arrival results 1,2 then expiry refreshes then arrival 1 again.
-  bool saw_refresh = false;
-  for (const Tuple& t : r.tuples) {
-    if (t.values[1] == Value(int64_t{1}) && t.ts >= 50) saw_refresh = true;
-  }
-  EXPECT_TRUE(saw_refresh);
-}
-
 TEST_F(SaGroupByTest, AggFnNames) {
   EXPECT_STREQ(AggFnToString(AggFn::kCount), "COUNT");
   EXPECT_STREQ(AggFnToString(AggFn::kAvg), "AVG");

@@ -109,7 +109,7 @@ TEST_F(SaJoinTest, PerSideWindowsExpireIndependently) {
   // joins with a fresh right tuple, but an equally old RIGHT tuple has
   // already expired from its narrow window.
   SaJoinOptions o = Options();
-  o.left_window_size = 1000;
+  o.window_size = 1000;
   o.right_window_size = 10;
   std::vector<StreamElement> left, right;
   left.emplace_back(MakeSp("s1", {ids_[0]}, 1));
