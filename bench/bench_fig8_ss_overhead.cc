@@ -27,7 +27,7 @@ OpCosts RunPlan(RoleCatalog* roles, StreamCatalog* streams,
                 bool use_predicate_index = true) {
   ExecContext ctx{roles, streams};
   Pipeline pipeline(&ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", wl.elements);
+  auto* src = pipeline.Add<PushSource>("src");
   SsOptions ss_opts;
   ss_opts.predicates = std::move(predicates);
   ss_opts.stream_name = wl.stream_name;
@@ -47,7 +47,9 @@ OpCosts RunPlan(RoleCatalog* roles, StreamCatalog* streams,
   ss->AddOutput(sel);
   sel->AddOutput(proj);
   proj->AddOutput(sink);
-  pipeline.Run(256);
+  std::vector<FiniteInput> inputs;
+  inputs.push_back(FiniteInput{src, wl.elements});
+  FeedToEnd(std::move(inputs), 256);
 
   // Per-operator costs come out of the harvested registry slice, the same
   // surface \metrics reads, not the raw operator pointers.

@@ -30,8 +30,8 @@ JoinRun RunJoin(const JoinWorkload& wl, RoleCatalog* roles, bool index,
   StreamCatalog streams;
   ExecContext ctx{roles, &streams};
   Pipeline pipeline(&ctx);
-  auto* l = pipeline.Add<SourceOperator>("l", wl.left);
-  auto* r = pipeline.Add<SourceOperator>("r", wl.right);
+  auto* l = pipeline.Add<PushSource>("l");
+  auto* r = pipeline.Add<PushSource>("r");
   SaJoinOptions o;
   o.window_size = kWindow;
   o.left_key_col = 0;
@@ -52,7 +52,10 @@ JoinRun RunJoin(const JoinWorkload& wl, RoleCatalog* roles, bool index,
   l->AddOutput(join, 0);
   r->AddOutput(join, 1);
   join->AddOutput(sink);
-  pipeline.Run(256);
+  std::vector<FiniteInput> inputs;
+  inputs.push_back(FiniteInput{l, wl.left});
+  inputs.push_back(FiniteInput{r, wl.right});
+  FeedToEnd(std::move(inputs), 256);
 
   // Cost breakdown via the harvested registry slice (the engine-facing
   // metrics surface); segments_processed stays operator-local — it is a

@@ -26,7 +26,7 @@ LatencySummary RunLatency(int tuples_per_sp, bool with_reorder,
 
   ExecContext ctx{&roles, &streams};
   Pipeline pipeline(&ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", wl.elements);
+  auto* src = pipeline.Add<PushSource>("src");
   Operator* top = src;
   if (with_reorder) {
     auto* reorder = pipeline.Add<ReorderOp>(ReorderOptions{slack});
@@ -53,7 +53,7 @@ LatencySummary RunLatency(int tuples_per_sp, bool with_reorder,
 
   ReplayOptions ropts;
   ropts.arrival_rate_per_ms = 0;  // back-to-back: pure processing latency
-  ReplayWithLatency(&pipeline, {src}, sink, ropts);
+  ReplayWithLatency({src, std::move(wl.elements)}, sink, ropts);
   return sink->Summarize();
 }
 

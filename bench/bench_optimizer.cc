@@ -23,17 +23,9 @@ double RunPlanMs(ExecContext* ctx,
                                           std::vector<StreamElement>>& inputs,
                  const LogicalNodePtr& plan) {
   Pipeline pipeline(ctx);
-  auto built = BuildPhysicalPlan(&pipeline, plan, inputs);
-  if (!built.ok()) {
-    std::cerr << built.status().ToString() << "\n";
-    return 0;
-  }
-  int64_t elapsed = 0;
-  {
-    ScopedTimer timer(&elapsed);
-    pipeline.Run(256);
-  }
-  return elapsed / 1e6;
+  double ms = 0;
+  RunTimed(&pipeline, plan, inputs, &ms);
+  return ms;
 }
 
 void SharingAblation() {
@@ -75,33 +67,32 @@ void SharingAblation() {
     // (b) shared: one trunk (merged SS + subplan) executed once, plus the
     // cheap per-query split shields over the trunk's (small) output.
     SharedPlan shared = BuildSharedPlan(subplan, query_roles);
-    double shared_ms = RunPlanMs(&ctx, inputs, shared.trunk);
+    Pipeline trunk_pipeline(&ctx);
+    double shared_ms = 0;
+    std::vector<StreamElement> trunk_out =
+        RunTimed(&trunk_pipeline, shared.trunk, inputs, &shared_ms)
+            .sinks[0]
+            ->elements();
     // Split shields re-filter the trunk output per query.
-    {
-      Pipeline trunk_pipeline(&ctx);
-      auto built = BuildPhysicalPlan(&trunk_pipeline, shared.trunk, inputs);
-      if (built.ok()) {
-        trunk_pipeline.Run(256);
-        std::vector<StreamElement> trunk_out = built->sink->elements();
-        for (const RoleSet& q : query_roles) {
-          Pipeline split(&ctx);
-          auto* src = split.Add<SourceOperator>("trunk", trunk_out);
-          SsOptions o;
-          o.predicates = {q};
-          o.stream_name = "Location";
-          o.schema = wl.schema;
-          auto* ss = split.Add<SsOperator>(std::move(o));
-          auto* sink = split.Add<CollectorSink>();
-          src->AddOutput(ss);
-          ss->AddOutput(sink);
-          int64_t elapsed = 0;
-          {
-            ScopedTimer timer(&elapsed);
-            split.Run(256);
-          }
-          shared_ms += elapsed / 1e6;
-        }
+    for (const RoleSet& q : query_roles) {
+      Pipeline split(&ctx);
+      auto* src = split.Add<PushSource>("trunk");
+      SsOptions o;
+      o.predicates = {q};
+      o.stream_name = "Location";
+      o.schema = wl.schema;
+      auto* ss = split.Add<SsOperator>(std::move(o));
+      auto* sink = split.Add<CollectorSink>();
+      src->AddOutput(ss);
+      ss->AddOutput(sink);
+      std::vector<FiniteInput> fed;
+      fed.push_back(FiniteInput{src, trunk_out});
+      int64_t elapsed = 0;
+      {
+        ScopedTimer timer(&elapsed);
+        FeedToEnd(std::move(fed), 256);
       }
+      shared_ms += elapsed / 1e6;
     }
     PrintRow("N=" + std::to_string(n),
              {independent_ms, shared_ms,

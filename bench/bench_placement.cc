@@ -56,19 +56,10 @@ PlacementCosts RunAllPlacements(double sp_selectivity,
   auto run = [&](SsPlacement placement) {
     LogicalNodePtr plan = ApplySsPlacement(bare, q, placement);
     Pipeline pipeline(&ctx);
-    auto built = BuildPhysicalPlan(&pipeline, plan, inputs);
-    if (!built.ok()) {
-      std::cerr << built.status().ToString() << "\n";
-      return std::pair<double, int64_t>{0, 0};
-    }
-    int64_t elapsed = 0;
-    {
-      ScopedTimer timer(&elapsed);
-      pipeline.Run(256);
-    }
+    double ms = 0;
+    PhysicalPlan built = RunTimed(&pipeline, plan, inputs, &ms);
     return std::pair<double, int64_t>{
-        elapsed / 1e6,
-        static_cast<int64_t>(built->sink->Tuples().size())};
+        ms, static_cast<int64_t>(built.sinks[0]->Tuples().size())};
   };
 
   PlacementCosts out{};

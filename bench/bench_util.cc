@@ -119,6 +119,28 @@ double MsPer100Tuples(int64_t nanos, int64_t tuples) {
          (static_cast<double>(tuples) / 100.0);
 }
 
+PhysicalPlan RunTimed(
+    Pipeline* pipeline, const LogicalNodePtr& plan,
+    const std::unordered_map<std::string, std::vector<StreamElement>>& inputs,
+    double* ms) {
+  auto abort_on_error = [](const Status& status) {
+    if (status.ok()) return;
+    std::cerr << "bench error: " << status.ToString() << "\n";
+    std::abort();
+  };
+  auto built = BuildPhysicalPlan(pipeline, {plan});
+  abort_on_error(built.status());
+  auto fed = BindInputs(built->sources, inputs);
+  abort_on_error(fed.status());
+  int64_t elapsed = 0;
+  {
+    ScopedTimer timer(&elapsed);
+    FeedToEnd(std::move(*fed), 256);
+  }
+  *ms = static_cast<double>(elapsed) / 1e6;
+  return std::move(*built);
+}
+
 EnforcementQuery MakeRegionQuery(RoleSet query_roles, double center_x,
                                  double center_y, double radius) {
   EnforcementQuery q;

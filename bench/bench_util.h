@@ -7,12 +7,14 @@
 #include <iomanip>
 #include <iostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/enforcement.h"
 #include "common/metrics_registry.h"
 #include "exec/expr.h"
 #include "exec/operator.h"
+#include "exec/plan_builder.h"
 #include "security/role_catalog.h"
 #include "workload/moving_objects.h"
 #include "workload/road_network.h"
@@ -62,6 +64,15 @@ const OperatorMetrics& OpMetrics(const QueryMetricsSnapshot& snap,
 
 /// \brief The figures' normalization: milliseconds per 100 input tuples.
 double MsPer100Tuples(int64_t nanos, int64_t tuples);
+
+/// \brief Compile `plan` into `pipeline`, bind its leaves to copies of
+/// `inputs`, and time only the feed to the end at batch size 256 into
+/// `*ms`. Returns the plan (its sink holds the results). Aborts with a
+/// diagnostic on a compile or bind error, as OpMetrics does.
+PhysicalPlan RunTimed(
+    Pipeline* pipeline, const LogicalNodePtr& plan,
+    const std::unordered_map<std::string, std::vector<StreamElement>>& inputs,
+    double* ms);
 
 // ---- repetition statistics -------------------------------------------------
 // Throughput benches report min/mean/stddev over N repetitions after a

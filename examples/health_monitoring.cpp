@@ -83,15 +83,19 @@ int main() {
       return 1;
     }
     Pipeline pipeline(&ctx);
-    auto built =
-        BuildPhysicalPlan(&pipeline, *plan, {{"HeartRate", heart_rate}});
+    auto built = BuildPhysicalPlan(&pipeline, {*plan});
     if (!built.ok()) {
       std::cerr << built.status().ToString() << "\n";
       return 1;
     }
-    pipeline.Run(64);
+    auto inputs = BindInputs(built->sources, {{"HeartRate", heart_rate}});
+    if (!inputs.ok()) {
+      std::cerr << inputs.status().ToString() << "\n";
+      return 1;
+    }
+    FeedToEnd(std::move(*inputs), /*batch_size=*/64);
     std::cout << "\ntachycardia alerts visible to " << s.name << ": "
-              << built->sink->Tuples().size() << "\n";
+              << built->sinks[0]->Tuples().size() << "\n";
   }
 
   // --- Attribute-level masking ----------------------------------------------
@@ -116,7 +120,7 @@ int main() {
   for (Subject s : {Subject{"nurse on duty", hospital.nurse_on_duty},
                     Subject{"employee", hospital.employee}}) {
     Pipeline pipeline(&ctx);
-    auto* src = pipeline.Add<SourceOperator>("src", temps);
+    auto* src = pipeline.Add<PushSource>("src");
     SsOptions sso;
     sso.predicates = {RoleSet::Of(s.role)};
     sso.stream_name = "BodyTemperature";
@@ -126,7 +130,7 @@ int main() {
     auto* sink = pipeline.Add<CollectorSink>();
     src->AddOutput(ss);
     ss->AddOutput(sink);
-    pipeline.Run();
+    FeedToEnd({{src, temps}}, /*batch_size=*/1);
     for (const Tuple& t : sink->Tuples()) {
       std::cout << "  " << s.name << " sees: patient "
                 << t.values[0].ToString() << ", temperature "

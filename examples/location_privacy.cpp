@@ -70,17 +70,21 @@ int main() {
     auto plan = planner.PlanSelect(*query, RoleSet::Of(role));
     if (!plan.ok()) {
       std::cerr << plan.status().ToString() << "\n";
-      return;
+      return false;
     }
     Pipeline pipeline(&ctx);
-    auto built =
-        BuildPhysicalPlan(&pipeline, *plan, {{"Location", elements}});
+    auto built = BuildPhysicalPlan(&pipeline, {*plan});
     if (!built.ok()) {
       std::cerr << built.status().ToString() << "\n";
-      return;
+      return false;
     }
-    pipeline.Run(64);
-    const auto tuples = built->sink->Tuples();
+    auto inputs = BindInputs(built->sources, {{"Location", elements}});
+    if (!inputs.ok()) {
+      std::cerr << inputs.status().ToString() << "\n";
+      return false;
+    }
+    FeedToEnd(std::move(*inputs), /*batch_size=*/64);
+    const auto tuples = built->sinks[0]->Tuples();
     std::cout << "\n'" << who << "' query: " << tuples.size()
               << " in-region updates visible";
     if (!tuples.empty()) {
@@ -89,10 +93,13 @@ int main() {
                 << tuples.front().values[2].ToString() << ")";
     }
     std::cout << "\n";
+    return true;
   };
 
-  run_for("retail store (context-aware advertiser)", store);
-  run_for("family member", family);
+  if (!run_for("retail store (context-aware advertiser)", store) ||
+      !run_for("family member", family)) {
+    return 1;
+  }
 
   std::cout << "\nBoth queries run the same plan; the in-stream policies "
                "decide per segment\nwho receives which objects — the store "

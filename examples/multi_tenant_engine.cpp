@@ -15,10 +15,19 @@ Tuple Reading(TupleId patient, int64_t bpm, Timestamp ts) {
                {Value(static_cast<int64_t>(patient)), Value(bpm)}, ts);
 }
 
+// Set by Check and Report on the first failed call; main returns 1 then.
+bool failed = false;
+
+void Check(const Status& st) {
+  if (st.ok()) return;
+  std::cerr << st.ToString() << "\n";
+  failed = true;
+}
+
 void Report(SpStreamEngine& engine, QueryId q, const std::string& who) {
   auto results = engine.TakeResults(q);
   if (!results.ok()) {
-    std::cerr << results.status().ToString() << "\n";
+    Check(results.status());
     return;
   }
   std::cout << "  " << who << " received " << results->size()
@@ -48,11 +57,11 @@ int main() {
   // Hospital-wide server policy: Vitals never leaves clinical roles.
   SecurityPunctuation server = SecurityPunctuation::StreamLevel(
       Pattern::Literal("Vitals"), Pattern::Compile("GP|ND").value(), 0);
-  (void)engine.AddServerPolicy("Vitals", server);
+  Check(engine.AddServerPolicy("Vitals", server));
 
-  (void)engine.RegisterSubject("alice_gp", {"GP"});
-  (void)engine.RegisterSubject("bob_nurse", {"ND"});
-  (void)engine.RegisterSubject("carol_admin", {"E"});
+  Check(engine.RegisterSubject("alice_gp", {"GP"}));
+  Check(engine.RegisterSubject("bob_nurse", {"ND"}));
+  Check(engine.RegisterSubject("carol_admin", {"E"}));
 
   auto q_alice = engine.RegisterQuery(
       "alice_gp", "SELECT patient_id, bpm FROM Vitals WHERE bpm > 100");
@@ -67,12 +76,12 @@ int main() {
   std::cout << "plan for alice:\n" << *engine.ExplainQuery(*q_alice);
 
   // ---- epoch 1: patient grants GP and the (server-blocked) employee ------
-  (void)engine.ExecuteInsertSp(
+  Check(engine.ExecuteInsertSp(
       "INSERT SP INTO STREAM Vitals "
-      "LET DDP = (Vitals, *, *), SRP = (RBAC, GP|E), TS = 1");
-  (void)engine.Push("Vitals", {StreamElement(Reading(120, 110, 1)),
-                               StreamElement(Reading(121, 80, 2))});
-  (void)engine.Run();
+      "LET DDP = (Vitals, *, *), SRP = (RBAC, GP|E), TS = 1"));
+  Check(engine.Push("Vitals", {StreamElement(Reading(120, 110, 1)),
+                               StreamElement(Reading(121, 80, 2))}));
+  Check(engine.Run());
   std::cout << "\nepoch 1 (policy GP|E, server clamps to GP|ND):\n";
   Report(engine, *q_alice, "alice (GP, bpm>100)");
   Report(engine, *q_bob, "bob   (ND)");
@@ -81,27 +90,27 @@ int main() {
   // ---- epoch 2: incremental delta adds the nurse role (§IX) ---------------
   // Base policy (GP only), then a delta sp that EDITS it (+ND) instead of
   // overriding — both ride the stream ahead of the reading.
-  (void)engine.ExecuteInsertSp(
+  Check(engine.ExecuteInsertSp(
       "INSERT SP INTO STREAM Vitals "
-      "LET DDP = (Vitals, *, *), SRP = (RBAC, GP), TS = 9");
-  (void)engine.ExecuteInsertSp(
+      "LET DDP = (Vitals, *, *), SRP = (RBAC, GP), TS = 9"));
+  Check(engine.ExecuteInsertSp(
       "INSERT SP INTO STREAM Vitals "
       "LET DDP = (Vitals, *, *), SRP = (RBAC, ND), SIGN = positive, "
-      "INCREMENTAL = true, TS = 10");
-  (void)engine.Push("Vitals", {StreamElement(Reading(120, 120, 10))});
-  (void)engine.Run();
+      "INCREMENTAL = true, TS = 10"));
+  Check(engine.Push("Vitals", {StreamElement(Reading(120, 120, 10))}));
+  Check(engine.Run());
   std::cout << "\nepoch 2 (base GP, then incremental +ND):\n";
   Report(engine, *q_alice, "alice (GP)  [keeps access: delta edits, not "
                            "overrides]");
   Report(engine, *q_bob, "bob   (ND)  [gains access via the delta sp]");
 
   // ---- epoch 3: runtime role change — bob is promoted to GP (§IX) --------
-  (void)engine.UpdateSubjectRoles("bob_nurse", {"GP"});
-  (void)engine.ExecuteInsertSp(
+  Check(engine.UpdateSubjectRoles("bob_nurse", {"GP"}));
+  Check(engine.ExecuteInsertSp(
       "INSERT SP INTO STREAM Vitals "
-      "LET DDP = (Vitals, *, *), SRP = (RBAC, GP), TS = 20");
-  (void)engine.Push("Vitals", {StreamElement(Reading(122, 95, 20))});
-  (void)engine.Run();
+      "LET DDP = (Vitals, *, *), SRP = (RBAC, GP), TS = 20"));
+  Check(engine.Push("Vitals", {StreamElement(Reading(122, 95, 20))}));
+  Check(engine.Run());
   std::cout << "\nepoch 3 (policy GP-only; bob now holds GP):\n";
   Report(engine, *q_bob, "bob   (GP after runtime role change)");
   Report(engine, *q_carol, "carol (E)");
@@ -109,5 +118,5 @@ int main() {
   std::cout << "\nOne engine, three tenants: every result above was "
                "authorized by punctuations\nstreamed with the data, refined "
                "by the server, and enforced inside the plans.\n";
-  return 0;
+  return failed ? 1 : 0;
 }

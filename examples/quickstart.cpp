@@ -71,15 +71,19 @@ int main() {
       return 1;
     }
     Pipeline pipeline(&ctx);
-    auto built =
-        BuildPhysicalPlan(&pipeline, *plan, {{"Vitals", elements}});
+    auto built = BuildPhysicalPlan(&pipeline, {*plan});
     if (!built.ok()) {
       std::cerr << built.status().ToString() << "\n";
       return 1;
     }
-    pipeline.Run();
+    auto inputs = BindInputs(built->sources, {{"Vitals", elements}});
+    if (!inputs.ok()) {
+      std::cerr << inputs.status().ToString() << "\n";
+      return 1;
+    }
+    FeedToEnd(std::move(*inputs), /*batch_size=*/1);
     std::cout << "\nresults for subject '" << subject << "':\n";
-    const auto tuples = built->sink->Tuples();
+    const auto tuples = built->sinks[0]->Tuples();
     if (tuples.empty()) {
       std::cout << "  (access denied - nothing)\n";
     }

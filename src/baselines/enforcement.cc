@@ -89,7 +89,7 @@ EnforcementResult StoreAndProbeDriver::Run(
   StreamCatalog streams;
   ExecContext ctx{catalog, &streams};
   Pipeline pipeline(&ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", workload.elements);
+  auto* src = pipeline.Add<PushSource>("src");
   auto* filter = pipeline.Add<StoreProbeFilter>(
       &store, workload.stream_name, query.query_roles);
   src->AddOutput(filter);
@@ -105,10 +105,12 @@ EnforcementResult StoreAndProbeDriver::Run(
   auto* sink = pipeline.Add<CollectorSink>();
   proj->AddOutput(sink);
 
+  std::vector<FiniteInput> inputs;
+  inputs.push_back(FiniteInput{src, workload.elements});
   int64_t elapsed = 0;
   {
     ScopedTimer timer(&elapsed);
-    pipeline.Run(/*batch_per_poll=*/256);
+    FeedToEnd(std::move(inputs), /*batch_size=*/256);
   }
   r.tuples_in = filter->metrics().tuples_in;
   r.tuples_out = proj->metrics().tuples_out;
@@ -212,7 +214,7 @@ EnforcementResult TupleEmbeddedDriver::Run(
   StreamCatalog streams;
   ExecContext ctx{catalog, &streams};
   Pipeline pipeline(&ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(stream));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* filter = pipeline.Add<EmbeddedPolicyFilter>(query.query_roles,
                                                     policy_col);
   src->AddOutput(filter);
@@ -233,10 +235,12 @@ EnforcementResult TupleEmbeddedDriver::Run(
   auto* sink = pipeline.Add<CollectorSink>();
   proj->AddOutput(sink);
 
+  std::vector<FiniteInput> inputs;
+  inputs.push_back(FiniteInput{src, std::move(stream)});
   int64_t elapsed = 0;
   {
     ScopedTimer timer(&elapsed);
-    pipeline.Run(/*batch_per_poll=*/256);
+    FeedToEnd(std::move(inputs), /*batch_size=*/256);
   }
   r.tuples_in = filter->metrics().tuples_in;
   r.tuples_out = proj->metrics().tuples_out;
@@ -252,7 +256,7 @@ EnforcementResult SpFrameworkDriver::Run(const EnforcementWorkload& workload,
   r.mechanism = "security-punctuations";
   ExecContext ctx{catalog_, streams_};
   Pipeline pipeline(&ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", workload.elements);
+  auto* src = pipeline.Add<PushSource>("src");
   SsOptions ss_opts;
   ss_opts.predicates = {query.query_roles};
   ss_opts.stream_name = workload.stream_name;
@@ -272,10 +276,12 @@ EnforcementResult SpFrameworkDriver::Run(const EnforcementWorkload& workload,
   auto* sink = pipeline.Add<CollectorSink>();
   proj->AddOutput(sink);
 
+  std::vector<FiniteInput> inputs;
+  inputs.push_back(FiniteInput{src, workload.elements});
   int64_t elapsed = 0;
   {
     ScopedTimer timer(&elapsed);
-    pipeline.Run(/*batch_per_poll=*/256);
+    FeedToEnd(std::move(inputs), /*batch_size=*/256);
   }
   r.tuples_in = ss->metrics().tuples_in;
   r.tuples_out = proj->metrics().tuples_out;

@@ -30,8 +30,10 @@
 //    and is snapshotted into an incident dump (with the responsible trace
 //    ids) whenever something goes wrong.
 //
-// Sampling: EngineOptions::trace_sample_n (0 = tracing off; N = trace every
-// sp-batch whose timestamp is divisible by N). With tracing disabled no
+// Sampling: tracing is process-global and off until switched on, by
+// Tracer::Global().Enable(n), the CLI's `trace on [n]`, or the
+// SPSTREAM_TRACE_SAMPLE environment variable; N traces every sp-batch whose
+// timestamp is divisible by N (1 = all). With tracing disabled no
 // per-thread ring is ever allocated (tests/trace_test.cc holds us to zero
 // allocations).
 #pragma once

@@ -36,11 +36,6 @@ SpStreamEngine::SpStreamEngine(EngineOptions options)
                 options_.enable_audit ? &audit_ : nullptr},
       overload_(OverloadOptions::FromEnv(options_.overload),
                 options_.shard_queue_capacity) {
-  // Tracing is process-global and sticky (the CLI's \trace and other
-  // engines share the Tracer); an engine only ever switches it ON.
-  if (options_.trace_sample_n > 0) {
-    Tracer::Global().Enable(options_.trace_sample_n);
-  }
   if (options_.num_shards > 1) {
     shard_manager_ = std::make_unique<ShardManager>(
         options_.num_shards, options_.shard_queue_capacity);
@@ -567,7 +562,7 @@ Result<std::string> SpStreamEngine::ExplainQuery(QueryId id,
       std::find(g->members.begin(), g->members.end(), id) -
       g->members.begin());
   NodeMetricsMap merged;
-  for (const StreamingPhysicalPlan& physical : g->physicals) {
+  for (const PhysicalPlan& physical : g->physicals) {
     for (const auto& [node, op] : physical.node_ops) {
       if (op != nullptr) merged[node].Merge(op->metrics());
     }
@@ -588,7 +583,7 @@ Result<std::string> SpStreamEngine::ExplainQuery(QueryId id,
   }
   os << ") workers: " << shard_manager_->num_workers() << "\n";
   for (size_t s = 0; s < g->pipelines.size(); ++s) {
-    const StreamingPhysicalPlan& physical = g->physicals[s];
+    const PhysicalPlan& physical = g->physicals[s];
     int64_t tuples_in = 0, sps_in = 0, installs = 0;
     for (const auto& [stream, src] : physical.sources) {
       (void)stream;
@@ -759,12 +754,12 @@ Status SpStreamEngine::CompileGroup(QueryGroup* g) {
   const size_t clones = routing.shardable ? shard_manager_->num_shards() : 1;
   const std::string tag = GroupTag(*g);
   std::vector<std::unique_ptr<Pipeline>> pipelines;
-  std::vector<StreamingPhysicalPlan> physicals;
+  std::vector<PhysicalPlan> physicals;
   for (size_t c = 0; c < clones; ++c) {
     auto pipeline = std::make_unique<Pipeline>(&exec_ctx_);
     SP_ASSIGN_OR_RETURN(
-        StreamingPhysicalPlan physical,
-        BuildStreamingPhysicalPlan(pipeline.get(), roots, options_.physical));
+        PhysicalPlan physical,
+        BuildPhysicalPlan(pipeline.get(), roots, options_.physical));
     // Audit scope: every clone speaks for the group, except that each split
     // shield speaks for its own query. Per-shard registry keys
     // ("q0.shard1") are applied at harvest time instead.
@@ -816,7 +811,7 @@ Status SpStreamEngine::RunGroup(QueryGroup* g) {
   // Deterministic merge: shard id first, arrival order within the shard.
   for (size_t k = 0; k < g->members.size(); ++k) {
     QueryState* qs = &queries_[g->members[k]];
-    for (StreamingPhysicalPlan& physical : g->physicals) {
+    for (PhysicalPlan& physical : g->physicals) {
       for (Tuple& t : physical.sinks[k]->TakeTuples()) {
         DeliverResult(qs, std::move(t));
       }

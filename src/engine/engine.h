@@ -75,12 +75,6 @@ struct EngineOptions {
   /// The result sequence is identical at every size
   /// (tests/batch_equivalence_test); 1 means one row batch per element.
   size_t batch_size = 64;
-  /// End-to-end tracing (docs/OBSERVABILITY.md): 0 = off (the default; no
-  /// span ring is ever allocated), N = switch the process-wide Tracer on and
-  /// trace every sp-batch whose timestamp is divisible by N (1 = all).
-  /// Tracing is process-global and sticky — constructing an engine with 0
-  /// leaves a previously-enabled tracer running (the CLI's \trace owns it).
-  size_t trace_sample_n = 0;
   /// Durable state (docs/DURABILITY.md): non-empty names the data directory
   /// for the write-ahead policy log + incremental window checkpoints. The
   /// constructor replays whatever the directory holds (catalog, sessions,
@@ -285,7 +279,7 @@ class SpStreamEngine {
     // One DAG clone, or one per shard when sharded (`routing.shardable`),
     // with the plan-derived per-leaf routing keys.
     std::vector<std::unique_ptr<Pipeline>> pipelines;
-    std::vector<StreamingPhysicalPlan> physicals;
+    std::vector<PhysicalPlan> physicals;
     ShardRouting routing;
     std::string shard_fallback;  // why sharding was refused, if it was
     // The durable chain's entries under the leader were cut from an older

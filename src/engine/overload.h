@@ -13,7 +13,7 @@
 //  * OverloadController — a pressure state machine fed by three signals
 //    (per-stream pending backlog, shard hand-off queue depth, last epoch
 //    wall-clock vs EngineOptions::epoch_deadline_ms). Normalized pressure
-//    crosses the low watermark → kThrottle (source poll batches shrink);
+//    crosses the low watermark → kThrottle (feed micro-batches shrink);
 //    crosses the high watermark → kShed (data tuples dropped at admission
 //    under a pluggable policy: random coin-flip, or per-query priority which
 //    protects the streams feeding the highest-priority queries). Every shed
@@ -55,7 +55,7 @@ class MetricsRegistry;
 /// (0 / 1 / 2) and in SHED_NOTICE frames.
 enum class OverloadState : uint8_t {
   kNormal = 0,    ///< full batches, everything admitted
-  kThrottle = 1,  ///< source poll batches shrink; everything still admitted
+  kThrottle = 1,  ///< feed micro-batches shrink; everything still admitted
   kShed = 2,      ///< data tuples dropped at admission; sps never
 };
 const char* OverloadStateName(OverloadState state);
@@ -68,7 +68,7 @@ enum class ShedPolicy : uint8_t {
                   ///< shed (at shed_fraction) only from lower-priority ones
 };
 
-/// Source poll batches are divided by this factor in kThrottle/kShed.
+/// Feed micro-batches are divided by this factor in kThrottle/kShed.
 inline constexpr size_t kThrottleDivisor = 4;
 /// Cap on the quarantine-recovery backoff (base * 2^attempt).
 inline constexpr int64_t kRecoveryBackoffMaxMs = 5000;
@@ -137,7 +137,7 @@ class OverloadController {
   /// tuple's stream; `top_priority` the highest across all live queries.
   bool ShouldShed(int stream_priority, int top_priority);
 
-  /// \brief Tier-1 degradation: the batch size source polls should use.
+  /// \brief Tier-1 degradation: the micro-batch size FeedGroup feeds.
   size_t EffectiveBatchSize(size_t base) const;
 
   int64_t tuples_shed() const { return tuples_shed_; }

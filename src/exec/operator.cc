@@ -50,7 +50,6 @@ void Operator::PushBatch(ElementBatch batch, int port) {
           Process(std::move(e), port);
           continue;
         }
-        OnPortFinished(port);
         if (++finished_ports_ >= std::max(num_inputs_, 1)) {
           OnAllFinished();
           Emit(std::move(e));  // propagate EOS exactly once
@@ -73,37 +72,6 @@ void Operator::ForwardBatch(ElementBatch batch) {
     outputs_[i].op->PushBatch(batch, outputs_[i].port);
   }
   outputs_.back().op->PushBatch(std::move(batch), outputs_.back().port);
-}
-
-size_t SourceOperator::Poll(size_t max_elements) {
-  // One poll = one batch: downstream operators get their batch kernels even
-  // for pre-materialized runs (Pipeline::Run's batch_per_poll is the batch
-  // size). Order is exactly the per-element order.
-  ElementBatch batch = ElementBatch::ForFeed(
-      max_elements, std::min(max_elements, elements_.size() - next_) + 1);
-  size_t pushed = 0;
-  while (pushed < max_elements && next_ < elements_.size()) {
-    StreamElement& e = elements_[next_++];
-    if (e.is_tuple()) {
-      ++metrics_.tuples_in;
-      ++metrics_.tuples_out;
-    } else if (e.is_sp()) {
-      ++metrics_.sps_in;
-      ++metrics_.sps_out;
-    }
-    batch.push_back(std::move(e));
-    ++pushed;
-  }
-  if (next_ >= elements_.size() && !eos_sent_) {
-    eos_sent_ = true;
-    const Timestamp ts =
-        elements_.empty() ? 0 : kMaxTimestamp;
-    // EOS rides at the batch tail; downstream PushBatch does the
-    // finished-port accounting.
-    batch.push_back(StreamElement::EndOfStream(ts));
-  }
-  if (!batch.empty()) ForwardBatch(std::move(batch));
-  return pushed;
 }
 
 const std::vector<StreamElement>& CollectorSink::elements() const {
@@ -171,15 +139,47 @@ void Pipeline::HarvestInto(MetricsRegistry* registry,
   }
 }
 
-void Pipeline::Run(size_t batch_per_poll) {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (SourceOperator* src : sources_) {
-      if (!src->exhausted()) {
-        src->Poll(batch_per_poll);
-        progressed = true;
+Result<std::vector<FiniteInput>> BindInputs(
+    const std::vector<std::pair<std::string, PushSource*>>& leaves,
+    const std::unordered_map<std::string, std::vector<StreamElement>>&
+        streams) {
+  std::vector<FiniteInput> inputs;
+  inputs.reserve(leaves.size());
+  for (const auto& [stream, source] : leaves) {
+    auto it = streams.find(stream);
+    if (it == streams.end()) {
+      return Status::NotFound("no input elements supplied for stream '" +
+                              stream + "'");
+    }
+    inputs.push_back(FiniteInput{source, it->second});
+  }
+  return inputs;
+}
+
+void FeedToEnd(std::vector<FiniteInput>&& inputs, size_t batch_size,
+               const std::function<void()>& before_batch) {
+  batch_size = std::max<size_t>(batch_size, 1);
+  // next[i] runs past inputs[i]'s last element once its EOS is sent.
+  std::vector<size_t> next(inputs.size(), 0);
+  size_t open = inputs.size();
+  while (open > 0) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      std::vector<StreamElement>& elems = inputs[i].elements;
+      if (next[i] > elems.size()) continue;
+      if (before_batch) before_batch();
+      const size_t end = std::min(elems.size(), next[i] + batch_size);
+      ElementBatch batch =
+          ElementBatch::ForFeed(batch_size, end - next[i] + 1);
+      for (; next[i] < end; ++next[i]) {
+        batch.push_back(std::move(elems[next[i]]));
       }
+      if (end == elems.size()) {
+        batch.push_back(
+            StreamElement::EndOfStream(elems.empty() ? 0 : kMaxTimestamp));
+        ++next[i];
+        --open;
+      }
+      inputs[i].source->FeedBatch(std::move(batch));
     }
   }
 }

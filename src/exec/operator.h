@@ -5,9 +5,12 @@
 #pragma once
 
 #include <cassert>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -40,11 +43,10 @@ class Operator {
   /// crosses an operator edge. PushBatch times the operator (total_nanos is
   /// its own processing time, downstream excluded), tries ProcessColumnar on
   /// a columnar batch, otherwise runs Process per element, and handles
-  /// end-of-stream inline: OnPortFinished, then once *all* ports have
-  /// finished OnAllFinished and EOS propagates. Everything emitted is
-  /// collected and forwarded as one batch per output edge; per-edge output
-  /// order is identical at every batch size (the batch-equivalence
-  /// contract).
+  /// end-of-stream inline: once *all* ports have seen it, OnAllFinished runs
+  /// and EOS propagates. Everything emitted is collected and forwarded as
+  /// one batch per output edge; per-edge output order is identical at every
+  /// batch size (the batch-equivalence contract).
   void PushBatch(ElementBatch batch, int port = 0);
 
   const std::string& label() const { return label_; }
@@ -117,9 +119,6 @@ class Operator {
     return false;
   }
 
-  /// \brief Called when a port sees end-of-stream. Default: nothing.
-  virtual void OnPortFinished(int port) { (void)port; }
-
   /// \brief Called once, after every input port has finished, before EOS
   /// propagates. Stateful operators flush pending results here.
   virtual void OnAllFinished() {}
@@ -163,34 +162,9 @@ class Operator {
   ElementBatch* collect_ = nullptr;
 };
 
-/// \brief Feeds a pre-materialized element sequence into the DAG. The
-/// executor polls sources round-robin, giving pipelined interleaving across
-/// streams.
-class SourceOperator : public Operator {
- public:
-  SourceOperator(ExecContext* ctx, std::string label,
-                 std::vector<StreamElement> elements)
-      : Operator(ctx, std::move(label), /*num_inputs=*/0),
-        elements_(std::move(elements)) {}
-
-  /// \brief Push up to `max_elements` downstream; returns the number pushed
-  /// (0 once exhausted). Emits EOS after the last element.
-  size_t Poll(size_t max_elements);
-
-  bool exhausted() const { return eos_sent_; }
-
- protected:
-  void Process(StreamElement&&, int) override {}  // sources take no input
-
- private:
-  std::vector<StreamElement> elements_;
-  size_t next_ = 0;
-  bool eos_sent_ = false;
-};
-
-/// \brief Externally-fed source for long-lived (continuous) pipelines: the
-/// owner pushes batches as they are admitted instead of pre-materializing
-/// the stream. Never emits EOS on its own.
+/// \brief The one source operator: its owner pushes batches into the DAG
+/// as they are admitted (the engine's FeedGroup) or as FeedToEnd cuts them
+/// from a finite input. Never emits EOS on its own.
 class PushSource : public Operator {
  public:
   explicit PushSource(ExecContext* ctx, std::string label = "push_src")
@@ -302,7 +276,7 @@ class CollectorSink : public Operator {
   mutable bool flat_valid_ = true;
 };
 
-/// \brief Owns a DAG of operators plus its sources, and drives them.
+/// \brief Owns a DAG of operators. Its PushSources are fed from outside.
 class Pipeline {
  public:
   explicit Pipeline(ExecContext* ctx) : ctx_(ctx) {}
@@ -313,16 +287,8 @@ class Pipeline {
     auto op = std::make_unique<T>(ctx_, std::forward<Args>(args)...);
     T* raw = op.get();
     operators_.push_back(std::move(op));
-    if constexpr (std::is_base_of_v<SourceOperator, T>) {
-      sources_.push_back(raw);
-    }
     return raw;
   }
-
-  /// \brief Round-robin the sources until all are exhausted (pipelined
-  /// execution: every element flows through the whole DAG before the next
-  /// source poll).
-  void Run(size_t batch_per_poll = 1);
 
   /// \brief Tag every operator with the query it executes for (audit-event
   /// and registry scoping).
@@ -340,7 +306,33 @@ class Pipeline {
  private:
   ExecContext* ctx_;
   std::vector<std::unique_ptr<Operator>> operators_;
-  std::vector<SourceOperator*> sources_;
 };
+
+/// \brief One leaf's finite input: the PushSource it enters through and
+/// the elements it carries.
+struct FiniteInput {
+  PushSource* source = nullptr;
+  std::vector<StreamElement> elements;
+};
+
+/// \brief Give each compiled leaf (`leaves`, as PhysicalPlan::sources lists
+/// them) its own copy of its stream from `streams`; a stream read by two
+/// leaves (a self-join) is copied for each. NotFound names a stream that
+/// `streams` lacks.
+Result<std::vector<FiniteInput>> BindInputs(
+    const std::vector<std::pair<std::string, PushSource*>>& leaves,
+    const std::unordered_map<std::string, std::vector<StreamElement>>&
+        streams);
+
+/// \brief Feed finite inputs to their end: round-robin over `inputs` in
+/// order, one batch of up to `batch_size` elements (ElementBatch::ForFeed)
+/// per input per turn, every element through the whole DAG before the next
+/// batch. Each input's last batch ends with its end-of-stream (ts
+/// kMaxTimestamp, 0 for an empty input), so each port finishes exactly
+/// once. `before_batch`, when set, runs before each batch is cut. The
+/// elements are moved out; the caller destroys what is left, so a timer
+/// around the call does not count freeing the input.
+void FeedToEnd(std::vector<FiniteInput>&& inputs, size_t batch_size,
+               const std::function<void()>& before_batch = nullptr);
 
 }  // namespace spstream

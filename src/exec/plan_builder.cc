@@ -23,23 +23,15 @@ struct SubtreeInfo {
 
 class PlanCompiler {
  public:
-  /// Factory producing the physical source operator for a stream leaf.
-  using SourceFactory =
-      std::function<Result<Operator*>(const std::string& stream_name)>;
-
-  PlanCompiler(Pipeline* pipeline, SourceFactory make_source,
-               const PhysicalPlanOptions& options,
-               std::unordered_map<const LogicalNode*, Operator*>* node_ops)
-      : pipeline_(pipeline),
-        make_source_(std::move(make_source)),
-        options_(options),
-        node_ops_(node_ops) {}
+  PlanCompiler(Pipeline* pipeline, const PhysicalPlanOptions& options,
+               PhysicalPlan* out)
+      : pipeline_(pipeline), options_(options), out_(out) {}
 
   Result<SubtreeInfo> Compile(const LogicalNodePtr& node) {
     auto done = compiled_.find(node.get());
     if (done != compiled_.end()) return done->second;
     SP_ASSIGN_OR_RETURN(SubtreeInfo info, CompileNode(node));
-    if (node_ops_) (*node_ops_)[node.get()] = info.top;
+    out_->node_ops[node.get()] = info.top;
     compiled_.emplace(node.get(), info);
     return info;
   }
@@ -68,7 +60,8 @@ class PlanCompiler {
   }
 
   Result<SubtreeInfo> CompileSource(const LogicalNodePtr& node) {
-    SP_ASSIGN_OR_RETURN(Operator * src, make_source_(node->stream_name));
+    auto* src = pipeline_->Add<PushSource>("push:" + node->stream_name);
+    out_->sources.emplace_back(node->stream_name, src);
     SubtreeInfo info;
     info.top = src;
     info.schema = node->schema;
@@ -197,9 +190,8 @@ class PlanCompiler {
   }
 
   Pipeline* pipeline_;
-  SourceFactory make_source_;
   const PhysicalPlanOptions& options_;
-  std::unordered_map<const LogicalNode*, Operator*>* node_ops_;
+  PhysicalPlan* out_;
   // Memo of compiled subtrees: a node shared by several roots compiles once.
   std::unordered_map<const LogicalNode*, SubtreeInfo> compiled_;
 };
@@ -207,45 +199,10 @@ class PlanCompiler {
 }  // namespace
 
 Result<PhysicalPlan> BuildPhysicalPlan(
-    Pipeline* pipeline, const LogicalNodePtr& plan,
-    const std::unordered_map<std::string, std::vector<StreamElement>>& inputs,
-    const PhysicalPlanOptions& options) {
-  PhysicalPlan out;
-  PlanCompiler compiler(
-      pipeline,
-      [&](const std::string& stream) -> Result<Operator*> {
-        auto it = inputs.find(stream);
-        if (it == inputs.end()) {
-          return Status::NotFound("no input elements supplied for stream '" +
-                                  stream + "'");
-        }
-        auto* src =
-            pipeline->Add<SourceOperator>("src:" + stream, it->second);
-        out.sources.push_back(src);
-        return src;
-      },
-      options, &out.node_ops);
-  SP_ASSIGN_OR_RETURN(SubtreeInfo info, compiler.Compile(plan));
-  out.root = info.top;
-  out.output_schema = info.schema;
-  out.output_stream_name = info.stream_name;
-  out.sink = pipeline->Add<CollectorSink>();
-  info.top->AddOutput(out.sink);
-  return out;
-}
-
-Result<StreamingPhysicalPlan> BuildStreamingPhysicalPlan(
     Pipeline* pipeline, const std::vector<LogicalNodePtr>& roots,
     const PhysicalPlanOptions& options) {
-  StreamingPhysicalPlan out;
-  PlanCompiler compiler(
-      pipeline,
-      [&](const std::string& stream) -> Result<Operator*> {
-        auto* src = pipeline->Add<PushSource>("push:" + stream);
-        out.sources.emplace_back(stream, src);
-        return src;
-      },
-      options, &out.node_ops);
+  PhysicalPlan out;
+  PlanCompiler compiler(pipeline, options, &out);
   for (const LogicalNodePtr& root : roots) {
     SP_ASSIGN_OR_RETURN(SubtreeInfo info, compiler.Compile(root));
     out.sinks.push_back(pipeline->Add<CollectorSink>());

@@ -22,43 +22,24 @@ struct PhysicalPlanOptions {
   bool ss_mask_attributes = false;
 };
 
-/// \brief Result of compiling one plan: sources to feed and the sink that
-/// collects results. All operators are owned by the pipeline.
+/// \brief Result of compiling plans: PushSource leaves keyed by stream
+/// name (one entry per source leaf, compile order) and one sink per root.
 struct PhysicalPlan {
-  std::vector<SourceOperator*> sources;  // one per source leaf, plan order
-  CollectorSink* sink = nullptr;
-  Operator* root = nullptr;              // operator feeding the sink
-  SchemaPtr output_schema;               // schema of the sink's tuples
-  std::string output_stream_name;        // logical name of the output
+  std::vector<std::pair<std::string, PushSource*>> sources;
+  std::vector<CollectorSink*> sinks;  // sinks[i] collects roots[i]'s output
   /// Logical node -> top physical operator of its compiled subtree
-  /// (EXPLAIN ANALYZE annotation source). Keys point into the plan tree
+  /// (EXPLAIN ANALYZE annotation source). Keys point into the plan trees
   /// passed to the builder.
   std::unordered_map<const LogicalNode*, Operator*> node_ops;
 };
 
-/// \brief Compile `plan` into `pipeline`. `inputs[stream]` supplies the
-/// element sequence for each source leaf (one SourceOperator per leaf; a
-/// stream read by two leaves gets two sources over a copy).
+/// \brief Compile `roots` into one DAG with PushSource leaves. The engine
+/// feeds admitted elements incrementally and operator state (policies in
+/// force, windows, aggregates) persists between feeds; a finite run binds
+/// the leaves to their streams (BindInputs) and feeds them to the end
+/// (FeedToEnd). A subtree reachable from several roots (the §VI.C shared
+/// trunk) compiles once and fans out to each root's remaining operators.
 Result<PhysicalPlan> BuildPhysicalPlan(
-    Pipeline* pipeline, const LogicalNodePtr& plan,
-    const std::unordered_map<std::string, std::vector<StreamElement>>& inputs,
-    const PhysicalPlanOptions& options = {});
-
-/// \brief Result of compiling *continuous* plans: externally-fed sources
-/// keyed by stream name (one entry per source leaf) and one sink per root.
-struct StreamingPhysicalPlan {
-  std::vector<std::pair<std::string, PushSource*>> sources;
-  std::vector<CollectorSink*> sinks;  // sinks[i] collects roots[i]'s output
-  /// Logical node -> top physical operator of its compiled subtree.
-  std::unordered_map<const LogicalNode*, Operator*> node_ops;
-};
-
-/// \brief Compile `roots` into one DAG with PushSource leaves for long-lived
-/// execution: the caller feeds admitted elements incrementally and operator
-/// state (policies in force, windows, aggregates) persists between feeds.
-/// A subtree reachable from several roots (the §VI.C shared trunk) compiles
-/// once and fans out to each root's remaining operators.
-Result<StreamingPhysicalPlan> BuildStreamingPhysicalPlan(
     Pipeline* pipeline, const std::vector<LogicalNodePtr>& roots,
     const PhysicalPlanOptions& options = {});
 

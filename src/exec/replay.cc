@@ -5,11 +5,6 @@
 
 namespace spstream {
 
-namespace {
-// Elements pushed per scheduler round per source.
-constexpr size_t kElementsPerRound = 64;
-}  // namespace
-
 std::string LatencySummary::ToString() const {
   std::ostringstream os;
   os << "n=" << count << " mean=" << mean_us << "us p50=" << p50_us
@@ -40,34 +35,25 @@ LatencySummary LatencySink::Summarize() const {
   return s;
 }
 
-double ReplayWithLatency(Pipeline* pipeline,
-                         const std::vector<SourceOperator*>& sources,
-                         LatencySink* sink, const ReplayOptions& options) {
-  (void)pipeline;
+double ReplayWithLatency(FiniteInput input, LatencySink* sink,
+                         const ReplayOptions& options) {
   const int64_t start = NowNanos();
   const double gap_nanos =
       options.arrival_rate_per_ms > 0 ? 1e6 / options.arrival_rate_per_ms
                                       : 0;
   double next_arrival = static_cast<double>(start);
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (SourceOperator* src : sources) {
-      if (src->exhausted()) continue;
-      progressed = true;
-      for (size_t i = 0; i < kElementsPerRound && !src->exhausted(); ++i) {
-        if (gap_nanos > 0) {
-          // Busy-wait to the simulated arrival instant (sub-ms gaps; a
-          // sleep would be far coarser than the latencies measured).
-          while (static_cast<double>(NowNanos()) < next_arrival) {
-          }
-          next_arrival += gap_nanos;
-        }
-        sink->MarkArrival();
-        src->Poll(1);
+  std::vector<FiniteInput> inputs;
+  inputs.push_back(std::move(input));
+  FeedToEnd(std::move(inputs), /*batch_size=*/1, [&] {
+    if (gap_nanos > 0) {
+      // Busy-wait to the simulated arrival instant (sub-ms gaps; a sleep
+      // would be far coarser than the latencies measured).
+      while (static_cast<double>(NowNanos()) < next_arrival) {
       }
+      next_arrival += gap_nanos;
     }
-  }
+    sink->MarkArrival();
+  });
   return static_cast<double>(NowNanos() - start) / 1e6;
 }
 

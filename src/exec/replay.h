@@ -2,9 +2,9 @@
 //
 // The pipelined engine is synchronous, so result latency equals the
 // processing delay between an element's (simulated) arrival and the moment
-// its results leave the plan. ReplayDriver stamps each tuple's arrival with
-// a wall-clock time derived from a configured arrival rate, pushes the
-// stream through a compiled plan, and records per-result latencies — the
+// its results leave the plan. ReplayWithLatency stamps each element's
+// arrival with a wall-clock time derived from a configured arrival rate,
+// feeds the stream through a plan, and records per-result latencies — the
 // evaluation dimension behind "speed of enforcement" claims.
 #pragma once
 
@@ -15,8 +15,8 @@
 namespace spstream {
 
 struct ReplayOptions {
-  /// Simulated tuples per millisecond on each source (controls how far
-  /// apart arrival stamps are placed). <= 0 means back-to-back arrival.
+  /// Simulated elements per millisecond (controls how far apart arrival
+  /// stamps are placed). <= 0 means back-to-back arrival.
   double arrival_rate_per_ms = 0;
 };
 
@@ -34,10 +34,10 @@ struct LatencySummary {
 
 /// \brief Records result-departure latencies against source arrival stamps.
 ///
-/// Wire it as the plan's sink. The driver calls MarkArrival right before
-/// pushing each source element; the sink stamps each received tuple with
-/// now - last_arrival (the synchronous engine guarantee: everything a push
-/// produces is emitted before the push returns).
+/// Wire it as the plan's sink. ReplayWithLatency calls MarkArrival right
+/// before feeding each source element; the sink stamps each received tuple
+/// with now - last_arrival (the synchronous engine guarantee: everything a
+/// push produces is emitted before the push returns).
 class LatencySink : public Operator {
  public:
   explicit LatencySink(ExecContext* ctx, std::string label = "latency_sink")
@@ -65,11 +65,10 @@ class LatencySink : public Operator {
   std::vector<int64_t> latencies_;
 };
 
-/// \brief Drive sources element-by-element, marking arrivals on `sink`.
-/// Returns total wall time in milliseconds.
-double ReplayWithLatency(Pipeline* pipeline,
-                         const std::vector<SourceOperator*>& sources,
-                         LatencySink* sink,
+/// \brief Feed `input` to its end one element per batch (FeedToEnd at
+/// batch size 1), marking each arrival on `sink`. Returns total wall time
+/// in milliseconds.
+double ReplayWithLatency(FiniteInput input, LatencySink* sink,
                          const ReplayOptions& options = {});
 
 }  // namespace spstream

@@ -41,7 +41,7 @@ struct LeafShardKey {
 struct ShardRouting {
   bool shardable = false;
   /// One entry per source leaf, in plan DFS order (matches the
-  /// StreamingPhysicalPlan::sources order).
+  /// PhysicalPlan::sources order).
   std::vector<LeafShardKey> leaf_keys;
   /// Human-readable reason when !shardable (EXPLAIN / logging).
   std::string reason;

@@ -147,9 +147,6 @@ Status WriteAll(int fd, std::string_view data) {
         ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::Internal("net: send timed out (slow peer)");
-      }
       return Errno("send");
     }
     sent += static_cast<size_t>(r);

@@ -4,7 +4,7 @@
 //
 // Error taxonomy (callers branch on these):
 //   - clean peer close at a frame boundary  -> StatusCode::kOutOfRange
-//   - anything else (torn frame, ECONNRESET, send timeout) -> kInternal
+//   - anything else (torn frame, ECONNRESET, EPIPE) -> kInternal
 // Read timeouts never surface as errors: timed reads go through
 // WaitReadable(), which returns Result<bool> (false == timed out) before
 // the blocking ReadFrame() is entered.
@@ -38,8 +38,9 @@ Result<int> TcpConnect(const std::string& host, uint16_t port);
 /// \brief Block until fd is readable; false on timeout (-1 = no timeout).
 Result<bool> WaitReadable(int fd, int timeout_ms);
 
-/// \brief Write all of `data` (retrying short writes). A send that would
-/// block (EAGAIN) surfaces as an error — by then the peer is stalled.
+/// \brief Write all of `data` to a blocking socket (retrying short writes
+/// and EINTR). Blocks while the peer does not read; a send error surfaces
+/// as kInternal "net: send: <strerror>".
 Status WriteAll(int fd, std::string_view data);
 
 /// \brief Half-close + close, ignoring errors (idempotent teardown).

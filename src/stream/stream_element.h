@@ -12,8 +12,9 @@
 namespace spstream {
 
 /// \brief Engine-internal control marks (not part of the paper's model):
-/// kFlush asks stateful operators to emit pending results; kEndOfStream
-/// terminates a source.
+/// kEndOfStream terminates a source (FeedToEnd appends one to each finite
+/// input). kFlush is a mark that no operator acts on: operators forward
+/// controls unchanged, and the wire codec carries both kinds.
 enum class ControlKind : uint8_t { kFlush = 0, kEndOfStream };
 
 struct Control {

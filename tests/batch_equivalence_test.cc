@@ -26,6 +26,9 @@
 
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "exec/plan_builder.h"
+#include "exec/reorder.h"
+#include "exec/sa_groupby.h"
 #include "exec/sa_project.h"
 #include "exec/sa_select.h"
 #include "exec/ss_operator.h"
@@ -454,10 +457,10 @@ TEST(BatchMetricsTest, OperatorTimesAreOwnTimeAndIncludeTheSink) {
         i, {static_cast<int64_t>(i % 7), static_cast<int64_t>(i)},
         static_cast<Timestamp>(1 + i)));
   }
-  for (size_t batch : {size_t{1}, size_t{256}}) {
-    SCOPED_TRACE("batch_per_poll " + std::to_string(batch));
+  for (size_t batch : {size_t{1}, size_t{7}, size_t{256}}) {
+    SCOPED_TRACE("batch_size " + std::to_string(batch));
     Pipeline pipeline(&ctx);
-    auto* src = pipeline.Add<SourceOperator>("src", input);
+    auto* src = pipeline.Add<PushSource>("src");
     SsOptions ss_opts;
     ss_opts.stream_name = "A";
     ss_opts.schema = schema;
@@ -471,8 +474,12 @@ TEST(BatchMetricsTest, OperatorTimesAreOwnTimeAndIncludeTheSink) {
     src->AddOutput(ops[0]);
     for (size_t i = 0; i + 1 < ops.size(); ++i) ops[i]->AddOutput(ops[i + 1]);
 
+    // Copy the input before the timer and free it after, so the wall time
+    // holds only the feed.
+    std::vector<FiniteInput> fed;
+    fed.push_back(FiniteInput{src, input});
     const int64_t t0 = NowNanos();
-    pipeline.Run(batch);
+    FeedToEnd(std::move(fed), batch);
     const int64_t wall = NowNanos() - t0;
 
     int64_t sum = 0;
@@ -482,7 +489,119 @@ TEST(BatchMetricsTest, OperatorTimesAreOwnTimeAndIncludeTheSink) {
     }
     EXPECT_LE(sum, wall);
     EXPECT_GT(static_cast<CollectorSink*>(ops.back())->Tuples().size(), 0u);
+    // FeedToEnd cuts ceil(n / batch) batches; the last one carries the EOS.
+    EXPECT_EQ(src->metrics().batches_in,
+              static_cast<int64_t>((input.size() + batch - 1) / batch));
+    EXPECT_EQ(src->metrics().batch_elements_in,
+              static_cast<int64_t>(input.size() + 1));
   }
+}
+
+// Test doubles that count what the end-of-stream hook emits.
+class FinalSnapshotGroupBy : public SaGroupBy {
+ public:
+  using SaGroupBy::SaGroupBy;
+  int64_t final_results = -1;
+
+ protected:
+  void OnAllFinished() override {
+    const int64_t before = metrics().tuples_out;
+    SaGroupBy::OnAllFinished();
+    final_results = metrics().tuples_out - before;
+  }
+};
+
+class FinalReleaseReorder : public ReorderOp {
+ public:
+  using ReorderOp::ReorderOp;
+  int64_t final_release = -1;
+
+ protected:
+  void OnAllFinished() override {
+    const int64_t before = metrics().tuples_out + metrics().sps_out;
+    ReorderOp::OnAllFinished();
+    final_release = metrics().tuples_out + metrics().sps_out - before;
+  }
+};
+
+// FeedToEnd's contract at batch sizes 1, 7 and 256: each leaf gets
+// ceil(n / batch) batches and a whole copy of its stream (a self-join reads
+// one stream through two leaves), and EOS ends each leaf's last batch, so
+// the reorder buffer's final release and the group-by's final snapshot see
+// what they saw under the pull-mode source driver that FeedToEnd replaced.
+// The expected counts were taken from that driver.
+TEST(BatchBoundaryTest, FeedToEndFeedsEveryLeafItsWholeStreamThenEos) {
+  RoleCatalog roles;
+  roles.RegisterSyntheticRoles(4);
+  StreamCatalog streams;
+  ExecContext ctx{&roles, &streams};
+  const SchemaPtr schema = MakeSchema(
+      "A", {Field{"k", ValueType::kInt64}, Field{"v", ValueType::kInt64}});
+  Rng rng(2008);
+  const std::vector<StreamElement> input = sptest::RandomPunctuatedStream(
+      &rng, "A", 300, 2, 5, 4, 6, 2);
+  int64_t tuples = 0, sps = 0;
+  for (const StreamElement& e : input) (e.is_tuple() ? tuples : sps) += 1;
+
+  struct Expected {
+    size_t batch;
+    int64_t join_results, reorder_final, groupby_out, groupby_final;
+  };
+  for (const Expected& want : {Expected{1, 1830, 54, 305, 5},
+                               Expected{7, 1830, 54, 305, 5},
+                               Expected{256, 4599, 54, 305, 5}}) {
+    SCOPED_TRACE("batch_size " + std::to_string(want.batch));
+    const int64_t batches =
+        static_cast<int64_t>((input.size() + want.batch - 1) / want.batch);
+
+    Pipeline join_pipeline(&ctx);
+    auto plan = BuildPhysicalPlan(
+        &join_pipeline,
+        {LogicalNode::Join(0, 0, /*window=*/20,
+                           LogicalNode::Source("A", schema),
+                           LogicalNode::Source("A", schema))});
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto fed = BindInputs(plan->sources, {{"A", input}});
+    ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+    FeedToEnd(std::move(*fed), want.batch);
+    ASSERT_EQ(plan->sources.size(), 2u);
+    for (const auto& [stream, leaf] : plan->sources) {
+      EXPECT_EQ(leaf->metrics().batches_in, batches) << leaf->label();
+      EXPECT_EQ(leaf->metrics().batch_elements_in,
+                static_cast<int64_t>(input.size() + 1));
+      EXPECT_EQ(leaf->metrics().tuples_out, tuples);
+      EXPECT_EQ(leaf->metrics().sps_out, sps);
+    }
+    EXPECT_EQ(static_cast<int64_t>(plan->sinks[0]->Tuples().size()),
+              want.join_results);
+
+    Pipeline pipeline(&ctx);
+    auto* src = pipeline.Add<PushSource>("src");
+    auto* reorder = pipeline.Add<FinalReleaseReorder>(ReorderOptions{40});
+    SaGroupByOptions gb_opts;
+    gb_opts.window_size = 1000000;
+    gb_opts.stream_name = "A";
+    auto* groupby = pipeline.Add<FinalSnapshotGroupBy>(gb_opts);
+    auto* sink = pipeline.Add<CollectorSink>();
+    src->AddOutput(reorder);
+    reorder->AddOutput(groupby);
+    groupby->AddOutput(sink);
+    FeedToEnd({{src, input}}, want.batch);
+    EXPECT_EQ(src->metrics().batches_in, batches);
+    EXPECT_EQ(reorder->final_release, want.reorder_final);
+    EXPECT_EQ(groupby->metrics().tuples_out, want.groupby_out);
+    EXPECT_EQ(groupby->final_results, want.groupby_final);
+    EXPECT_EQ(static_cast<int64_t>(sink->Tuples().size()), want.groupby_out);
+  }
+
+  // An empty input is one EOS-only batch: every port still finishes once.
+  Pipeline pipeline(&ctx);
+  auto* src = pipeline.Add<PushSource>("src");
+  auto* reorder = pipeline.Add<FinalReleaseReorder>(ReorderOptions{40});
+  src->AddOutput(reorder);
+  FeedToEnd({{src, {}}}, 7);
+  EXPECT_EQ(src->metrics().batches_in, 1);
+  EXPECT_EQ(reorder->final_release, 0);
 }
 
 }  // namespace

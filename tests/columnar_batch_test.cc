@@ -289,7 +289,7 @@ TEST(ColumnarBatchTest, PipelineRetainsColumnarChunksEndToEnd) {
   }
 
   Pipeline pipeline(&ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* sel = pipeline.Add<SaSelect>(Expr::Compare(
       Expr::CmpOp::kGe, Expr::Column(1), Expr::Literal(Value(0))));
   auto* proj = pipeline.Add<SaProject>(
@@ -301,7 +301,9 @@ TEST(ColumnarBatchTest, PipelineRetainsColumnarChunksEndToEnd) {
   src->AddOutput(sel);
   sel->AddOutput(proj);
   proj->AddOutput(sink);
-  pipeline.Run(/*batch_per_poll=*/256);
+  const size_t n = input.size();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/256);
+  EXPECT_EQ(src->metrics().batches_in, static_cast<int64_t>((n + 255) / 256));
 
   // Inspect BEFORE any elements() call — that decays the chunks by design.
   EXPECT_GE(sink->columnar_chunks(), kTuples / 256 - 1);

@@ -8,7 +8,7 @@
 //
 //  * SaSelect / SaProject / SsOperator (with attribute masking) and a
 //    chained SS -> select -> project plan, driven at random batch sizes
-//    against batch-per-poll = 1;
+//    against batch size 1;
 //  * SaJoinNl fed by hand with identical port interleavings, one-element
 //    row PushBatch calls vs columnar PushBatch (the join has no columnar
 //    kernel, so this pins the decay of columnar input);
@@ -62,8 +62,8 @@ void ExpectSameSequence(const std::vector<std::string>& got,
       << context << ": sequences agree on the first " << n << " elements";
 }
 
-/// Batch-per-poll for one case: random by default; CI's kernel-matrix job
-/// pins it via SPSTREAM_BATCH_SIZE (1 degenerates every poll to the row
+/// Feed batch size for one case: random by default; CI's kernel-matrix job
+/// pins it via SPSTREAM_BATCH_SIZE (1 degenerates every batch to the row
 /// transport, proving the scalar path against itself).
 size_t RandomBatchSize(Rng* rng) {
   if (const char* env = std::getenv("SPSTREAM_BATCH_SIZE")) {
@@ -262,14 +262,14 @@ ExprPtr RandomDistancePredicate(Rng* rng, const RandomSchema& rs) {
 
 // ---- drivers ---------------------------------------------------------
 
-/// RunUnary with an explicit batch-per-poll (1 = the scalar reference).
+/// RunUnary with an explicit batch size (1 = the scalar reference).
 template <typename MakeOp>
 std::vector<std::string> RunChainRendered(ExecContext* ctx,
                                           std::vector<StreamElement> input,
                                           MakeOp&& make_op,
-                                          size_t batch_per_poll) {
+                                          size_t batch_size) {
   Pipeline pipeline(ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   std::vector<Operator*> ops = make_op(&pipeline);
   auto* sink = pipeline.Add<CollectorSink>();
   Operator* prev = src;
@@ -278,7 +278,7 @@ std::vector<std::string> RunChainRendered(ExecContext* ctx,
     prev = op;
   }
   prev->AddOutput(sink);
-  pipeline.Run(batch_per_poll);
+  FeedToEnd({{src, std::move(input)}}, batch_size);
   return Render(sink->elements());
 }
 

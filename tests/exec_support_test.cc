@@ -148,14 +148,14 @@ TEST_F(MiscOpsTest, UnionMergesBothInputs) {
   a.emplace_back(MakeTuple(1, {1}, 1));
   b.emplace_back(MakeSp("s", {ids_[1]}, 1));
   b.emplace_back(MakeTuple(2, {2}, 2));
-  auto* sa = pipeline.Add<SourceOperator>("a", std::move(a));
-  auto* sb = pipeline.Add<SourceOperator>("b", std::move(b));
+  auto* sa = pipeline.Add<PushSource>("a");
+  auto* sb = pipeline.Add<PushSource>("b");
   auto* u = pipeline.Add<UnionOp>(2);
   auto* sink = pipeline.Add<CollectorSink>();
   sa->AddOutput(u, 0);
   sb->AddOutput(u, 1);
   u->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{sa, std::move(a)}, {sb, std::move(b)}}, /*batch_size=*/1);
   EXPECT_EQ(sink->Tuples().size(), 2u);
   EXPECT_EQ(sink->Sps().size(), 2u);
   EXPECT_EQ(u->metrics().tuples_in, 2);
@@ -169,12 +169,12 @@ TEST_F(MiscOpsTest, DropSpsStripsAndInjectsAllowAll) {
   input.emplace_back(MakeTuple(1, {1}, 5));
   input.emplace_back(MakeSp("s", {ids_[1]}, 6));
   input.emplace_back(MakeTuple(2, {2}, 7));
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* drop = pipeline.Add<DropSpsOp>();
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(drop);
   drop->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   // All input sps swallowed; exactly one allow-all sp injected up front.
   ASSERT_EQ(sink->Sps().size(), 1u);
   EXPECT_EQ(sink->Sps()[0].roles(), RoleSet::AllOf(roles_));
@@ -204,7 +204,7 @@ class PlanBuilderTest : public ::testing::Test {
 TEST_F(PlanBuilderTest, MissingInputRejected) {
   Pipeline pipeline(&ctx_);
   auto plan = LogicalNode::Source("s", schema_);
-  auto built = BuildPhysicalPlan(&pipeline, plan, {});
+  auto built = sptest::RunPlan(&pipeline, plan, {});
   EXPECT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kNotFound);
 }
@@ -215,11 +215,10 @@ TEST_F(PlanBuilderTest, SourcePlanPassesEverythingThrough) {
   input.emplace_back(MakeSp("s", {ids_[0]}, 1));
   input.emplace_back(MakeTuple(1, {1, 2}, 1));
   auto plan = LogicalNode::Source("s", schema_);
-  auto built = BuildPhysicalPlan(&pipeline, plan, {{"s", input}});
+  auto built = sptest::RunPlan(&pipeline, plan, {{"s", input}});
   ASSERT_TRUE(built.ok());
-  pipeline.Run();
-  EXPECT_EQ(built->sink->Tuples().size(), 1u);
-  EXPECT_EQ(built->sink->Sps().size(), 1u);
+  EXPECT_EQ(built->sinks[0]->Tuples().size(), 1u);
+  EXPECT_EQ(built->sinks[0]->Sps().size(), 1u);
   EXPECT_EQ(built->sources.size(), 1u);
 }
 
@@ -235,11 +234,10 @@ TEST_F(PlanBuilderTest, MultiPredicateSsCompilesToCascade) {
   // Policy {r0, r1}: passes both shields.
   input.emplace_back(MakeSp("s", {ids_[0], ids_[1]}, 5));
   input.emplace_back(MakeTuple(2, {3, 4}, 5));
-  auto built = BuildPhysicalPlan(&pipeline, plan, {{"s", input}});
+  auto built = sptest::RunPlan(&pipeline, plan, {{"s", input}});
   ASSERT_TRUE(built.ok());
-  pipeline.Run();
-  ASSERT_EQ(built->sink->Tuples().size(), 1u);
-  EXPECT_EQ(built->sink->Tuples()[0].tid, 2);
+  ASSERT_EQ(built->sinks[0]->Tuples().size(), 1u);
+  EXPECT_EQ(built->sinks[0]->Tuples()[0].tid, 2);
 }
 
 TEST_F(PlanBuilderTest, JoinImplToggleProducesSameResults) {
@@ -262,10 +260,9 @@ TEST_F(PlanBuilderTest, JoinImplToggleProducesSameResults) {
     PhysicalPlanOptions popts;
     popts.join_impl = impl;
     Pipeline pipeline(&ctx_);
-    auto built = BuildPhysicalPlan(&pipeline, plan, inputs, popts);
+    auto built = sptest::RunPlan(&pipeline, plan, inputs, popts);
     EXPECT_TRUE(built.ok());
-    pipeline.Run();
-    return built->sink->Tuples().size();
+    return built->sinks[0]->Tuples().size();
   };
   const size_t nl = run(PhysicalPlanOptions::JoinImpl::kNestedLoop);
   const size_t idx = run(PhysicalPlanOptions::JoinImpl::kIndex);
@@ -280,10 +277,9 @@ TEST_F(PlanBuilderTest, UnionPlanCompiles) {
   auto plan = LogicalNode::Union({LogicalNode::Source("s", schema_),
                                   LogicalNode::Source("s", schema_)});
   Pipeline pipeline(&ctx_);
-  auto built = BuildPhysicalPlan(&pipeline, plan, {{"s", input}});
+  auto built = sptest::RunPlan(&pipeline, plan, {{"s", input}});
   ASSERT_TRUE(built.ok());
-  pipeline.Run();
-  EXPECT_EQ(built->sink->Tuples().size(), 2u);  // both branches replay s
+  EXPECT_EQ(built->sinks[0]->Tuples().size(), 2u);  // both branches replay s
   EXPECT_EQ(built->sources.size(), 2u);
 }
 

@@ -198,12 +198,12 @@ TEST_F(ReorderTest, BeyondSlackDropped) {
   input.emplace_back(MakeTuple(1, {1}, 100));
   input.emplace_back(MakeTuple(2, {2}, 300));  // watermark 290, releases 100
   input.emplace_back(MakeTuple(3, {3}, 50));   // hopelessly late
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* reorder = pipeline.Add<ReorderOp>(ReorderOptions{/*slack=*/10});
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(reorder);
   reorder->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   EXPECT_EQ(reorder->late_drops(), 1);
   EXPECT_EQ(sink->Tuples().size(), 2u);
 }
@@ -244,8 +244,8 @@ class SaSetOpTest : public ::testing::Test {
 };
 
 TEST_F(SaSetOpTest, IntersectEmitsCompatibleMatches) {
-  // (Sources are polled round-robin; the left filler tuple lets the right
-  // resident land in the window before the real probes arrive.)
+  // (FeedToEnd feeds the sources round-robin; the left filler tuple lets
+  // the right resident land in the window before the real probes arrive.)
   std::vector<StreamElement> left, right;
   right.emplace_back(MakeSp("R", {ids_[0]}, 1));
   right.emplace_back(MakeTuple(10, {7}, 1));
@@ -279,7 +279,7 @@ TEST_F(SaSetOpTest, ExceptRemovesVisibleMatches) {
   right.emplace_back(MakeSp("R", {ids_[0]}, 1));
   right.emplace_back(MakeTuple(10, {7}, 1));
   left.emplace_back(MakeSp("L", {ids_[0]}, 1));
-  left.emplace_back(MakeSp("L", {ids_[0]}, 1));  // pad the poll schedule
+  left.emplace_back(MakeSp("L", {ids_[0]}, 1));  // pad the feed schedule
   left.emplace_back(MakeTuple(1, {7}, 2));  // excluded (match visible)
   left.emplace_back(MakeTuple(2, {8}, 3));  // survives
   auto r = RunBinary(&ctx_, left, right, [&](Pipeline* p) {

@@ -38,10 +38,9 @@ class IntegrationTest : public ::testing::Test {
           inputs,
       const PhysicalPlanOptions& popts = {}) {
     Pipeline pipeline(&ctx_);
-    auto built = BuildPhysicalPlan(&pipeline, plan, inputs, popts);
+    auto built = sptest::RunPlan(&pipeline, plan, inputs, popts);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
-    pipeline.Run();
-    return built->sink->Tuples();
+    return built->sinks[0]->Tuples();
   }
 
   RoleCatalog roles_;
@@ -162,11 +161,10 @@ TEST_F(IntegrationTest, PlacementsAgreeOnJoinsUnderBatchedPolling) {
 
   auto run = [&](SsPlacement placement, size_t batch) {
     Pipeline pipeline(&ctx_);
-    auto built = BuildPhysicalPlan(
-        &pipeline, ApplySsPlacement(bare, q, placement), inputs);
+    auto built = sptest::RunPlan(
+        &pipeline, ApplySsPlacement(bare, q, placement), inputs, {}, batch);
     EXPECT_TRUE(built.ok());
-    pipeline.Run(batch);
-    return built->sink->Tuples().size();
+    return built->sinks[0]->Tuples().size();
   };
   for (size_t batch : {size_t{1}, size_t{64}, size_t{1000}}) {
     const size_t post = run(SsPlacement::kPostFilter, batch);

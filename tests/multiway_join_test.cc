@@ -90,10 +90,9 @@ TEST_F(MultiwayJoinTest, ThreeWayExecutionMatchesExpectation) {
       {"C", StreamFor("C", {3}, 200)}};
 
   Pipeline pipeline(&ctx_);
-  auto built = BuildPhysicalPlan(&pipeline, *plan, inputs);
+  auto built = sptest::RunPlan(&pipeline, *plan, inputs);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  pipeline.Run();
-  const auto tuples = built->sink->Tuples();
+  const auto tuples = built->sinks[0]->Tuples();
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_EQ(tuples[0].values.size(), 3u);
 }
@@ -157,10 +156,9 @@ TEST_F(MultiwayJoinTest, ThreeWayEquivalentAcrossJoinImpls) {
     PhysicalPlanOptions popts;
     popts.join_impl = impl;
     Pipeline pipeline(&ctx_);
-    auto built = BuildPhysicalPlan(&pipeline, *plan, inputs, popts);
+    auto built = sptest::RunPlan(&pipeline, *plan, inputs, popts);
     EXPECT_TRUE(built.ok());
-    pipeline.Run();
-    return built->sink->Tuples().size();
+    return built->sinks[0]->Tuples().size();
   };
   const size_t nl = run(PhysicalPlanOptions::JoinImpl::kNestedLoop);
   const size_t idx = run(PhysicalPlanOptions::JoinImpl::kIndex);

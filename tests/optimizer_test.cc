@@ -99,10 +99,9 @@ TEST_F(OptimizerTest, OptimizedPlanRemainsOutputEquivalent) {
 
   auto run = [&](const LogicalNodePtr& p) {
     Pipeline pipeline(&ctx);
-    auto built = BuildPhysicalPlan(&pipeline, p, inputs);
+    auto built = sptest::RunPlan(&pipeline, p, inputs);
     EXPECT_TRUE(built.ok());
-    pipeline.Run();
-    return built->sink->Tuples();
+    return built->sinks[0]->Tuples();
   };
   EXPECT_EQ(run(plan), run(optimized));
 }
@@ -226,10 +225,9 @@ TEST_F(OptimizerTest, SharedPlanPreservesPerQueryResults) {
 
   auto run = [&](const LogicalNodePtr& p) {
     Pipeline pipeline(&ctx);
-    auto built = BuildPhysicalPlan(&pipeline, p, inputs);
+    auto built = sptest::RunPlan(&pipeline, p, inputs);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
-    pipeline.Run();
-    return built->sink->Tuples();
+    return built->sinks[0]->Tuples();
   };
 
   for (size_t q = 0; q < query_roles.size(); ++q) {

@@ -30,10 +30,10 @@ TEST_F(ReplayTest, CountsAndLatenciesRecorded) {
     input.emplace_back(MakeTuple(i, {i}, i + 1));
   }
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* sink = pipeline.Add<LatencySink>();
   src->AddOutput(sink);
-  const double wall_ms = ReplayWithLatency(&pipeline, {src}, sink);
+  const double wall_ms = ReplayWithLatency({src, std::move(input)}, sink);
   EXPECT_EQ(sink->tuples(), 100);
   EXPECT_EQ(sink->latencies_nanos().size(), 100u);
   EXPECT_GT(wall_ms, 0.0);
@@ -49,13 +49,13 @@ TEST_F(ReplayTest, SummaryPercentilesOrdered) {
     input.emplace_back(MakeTuple(i, {i}, i + 1));
   }
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* sel = pipeline.Add<SaSelect>(Expr::Compare(
       Expr::CmpOp::kGe, Expr::Column(0), Expr::Literal(Value(0))));
   auto* sink = pipeline.Add<LatencySink>();
   src->AddOutput(sel);
   sel->AddOutput(sink);
-  ReplayWithLatency(&pipeline, {src}, sink);
+  ReplayWithLatency({src, std::move(input)}, sink);
   LatencySummary s = sink->Summarize();
   EXPECT_EQ(s.count, 500u);
   EXPECT_LE(s.p50_us, s.p95_us);
@@ -80,12 +80,12 @@ TEST_F(ReplayTest, ArrivalRatePacesReplay) {
     input.emplace_back(MakeTuple(i, {i}, i + 1));
   }
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* sink = pipeline.Add<LatencySink>();
   src->AddOutput(sink);
   ReplayOptions opts;
   opts.arrival_rate_per_ms = 100;  // 201 elements at 100/ms => >= ~2 ms
-  const double wall_ms = ReplayWithLatency(&pipeline, {src}, sink, opts);
+  const double wall_ms = ReplayWithLatency({src, std::move(input)}, sink, opts);
   EXPECT_GE(wall_ms, 1.5);
 }
 

@@ -227,10 +227,9 @@ TEST_P(RuleEquivalenceProperty, RewrittenPlansMatchOnRandomStreams) {
 
   auto run = [&](const LogicalNodePtr& plan) {
     Pipeline pipeline(&ctx);
-    auto built = BuildPhysicalPlan(&pipeline, plan, inputs);
+    auto built = sptest::RunPlan(&pipeline, plan, inputs);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
-    pipeline.Run();
-    std::vector<Tuple> out = built->sink->Tuples();
+    std::vector<Tuple> out = built->sinks[0]->Tuples();
     return out;
   };
 
@@ -270,11 +269,10 @@ TEST_P(RuleEquivalenceProperty, RewrittenPlansMatchOnRandomStreams) {
                             LogicalNode::Source("s", schema))));
   auto run2 = [&](const LogicalNodePtr& plan) {
     Pipeline pipeline(&ctx);
-    auto built = BuildPhysicalPlan(&pipeline, plan, inputs2);
+    auto built = sptest::RunPlan(&pipeline, plan, inputs2);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
-    pipeline.Run();
     // Canonicalize: joins may emit in different orders across shapes.
-    auto tuples = built->sink->Tuples();
+    auto tuples = built->sinks[0]->Tuples();
     std::vector<std::string> canon;
     canon.reserve(tuples.size());
     for (const Tuple& t : tuples) {

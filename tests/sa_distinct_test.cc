@@ -169,12 +169,12 @@ TEST_F(SaDistinctTest, StateSizeTracksDistinctValues) {
   for (int i = 0; i < 20; ++i) {
     input.emplace_back(MakeTuple(i, {i % 4}, i + 1));
   }
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* dist = pipeline.Add<SaDistinct>(Options());
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(dist);
   dist->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   EXPECT_EQ(dist->output_state_size(), 4u);
   EXPECT_EQ(sink->Tuples().size(), 4u);
 }

@@ -116,12 +116,12 @@ TEST_F(SaGroupByTest, AsgMergeOnBridgingPolicy) {
   input.emplace_back(MakeSp("s", {ids_[0], ids_[1]}, 9));
   input.emplace_back(MakeTuple(3, {5, 30}, 9));
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* gb = pipeline.Add<SaGroupBy>(Options(AggFn::kCount));
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(gb);
   gb->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   EXPECT_EQ(gb->asg_count(), 1u);  // merged into one subgroup
   const auto tuples = sink->Tuples();
   ASSERT_GE(tuples.size(), 3u);
@@ -136,13 +136,13 @@ TEST_F(SaGroupByTest, AsgPoliciesPairwiseDisjointInvariant) {
     auto input = sptest::RandomPunctuatedStream(
         &rng, "s", 200, 2, 4, 8, 3, 2);
     Pipeline pipeline(&ctx_);
-    auto* src = pipeline.Add<SourceOperator>("src", input);
+    auto* src = pipeline.Add<PushSource>("src");
     auto* gb = pipeline.Add<SaGroupBy>(
         Options(AggFn::kSum, /*window=*/1000000));
     auto* sink = pipeline.Add<CollectorSink>();
     src->AddOutput(gb);
     gb->AddOutput(sink);
-    pipeline.Run();
+    FeedToEnd({{src, input}}, /*batch_size=*/1);
 
     // Reference: union-find over (key, policy) arrivals.
     auto ref = sptest::ReferenceAnnotate(input, "s");

@@ -156,14 +156,14 @@ TEST_F(SelectProjectTest, SelectThenProjectPipeline) {
     input.emplace_back(MakeTuple(i, {i, i * 10, i * 100}, i + 1));
   }
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* sel = pipeline.Add<SaSelect>(ColGt5());
   auto* proj = pipeline.Add<SaProject>(std::vector<int>{1}, schema_);
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(sel);
   sel->AddOutput(proj);
   proj->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   auto tuples = sink->Tuples();
   ASSERT_EQ(tuples.size(), 4u);  // cols 6..9 pass
   EXPECT_EQ(tuples[0].values[0], Value(60));

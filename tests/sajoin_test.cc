@@ -147,14 +147,14 @@ TEST_F(SaJoinTest, SegmentSpsPurgedWithLastTuple) {
   right.emplace_back(MakeSp("s2", {ids_[0]}, 1));
   right.emplace_back(JoinTuple(100, 9, 450));  // invalidates left ts<=350
 
-  auto* l = pipeline.Add<SourceOperator>("l", std::move(left));
-  auto* rs = pipeline.Add<SourceOperator>("r", std::move(right));
+  auto* l = pipeline.Add<PushSource>("l");
+  auto* rs = pipeline.Add<PushSource>("r");
   auto* join = pipeline.Add<SaJoinNl>(Options(/*window=*/100));
   auto* sink = pipeline.Add<CollectorSink>();
   l->AddOutput(join, 0);
   rs->AddOutput(join, 1);
   join->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{l, std::move(left)}, {rs, std::move(right)}}, /*batch_size=*/1);
   // Left window: first segment fully expired (and its sp purged); only the
   // second remains.
   EXPECT_EQ(join->left_window().segment_count(), 1u);
@@ -168,15 +168,14 @@ TEST_F(SaJoinTest, SharedPolicyExtendsSegmentNotNewOne) {
   std::vector<StreamElement> left;
   left.emplace_back(MakeSp("s1", {ids_[0]}, 1));
   for (int i = 0; i < 5; ++i) left.emplace_back(JoinTuple(i, i, i + 1));
-  auto* l = pipeline.Add<SourceOperator>("l", std::move(left));
-  auto* rs = pipeline.Add<SourceOperator>(
-      "r", std::vector<StreamElement>{});
+  auto* l = pipeline.Add<PushSource>("l");
+  auto* rs = pipeline.Add<PushSource>("r");
   auto* join = pipeline.Add<SaJoinNl>(Options());
   auto* sink = pipeline.Add<CollectorSink>();
   l->AddOutput(join, 0);
   rs->AddOutput(join, 1);
   join->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{l, std::move(left)}, {rs, {}}}, /*batch_size=*/1);
   EXPECT_EQ(join->left_window().segment_count(), 1u);
   EXPECT_EQ(join->left_window().tuple_count(), 5u);
 }
@@ -232,8 +231,8 @@ TEST_P(SaJoinEquivalence, AllVariantsProduceIdenticalJoins) {
     o.probe_method = probe;
     o.use_skipping_rule = skipping;
     Pipeline pipeline(&ctx);
-    auto* l = pipeline.Add<SourceOperator>("l", wl.left);
-    auto* r = pipeline.Add<SourceOperator>("r", wl.right);
+    auto* l = pipeline.Add<PushSource>("l");
+    auto* r = pipeline.Add<PushSource>("r");
     Operator* join;
     if (index) {
       join = pipeline.Add<SaJoinIndex>(o);
@@ -244,7 +243,7 @@ TEST_P(SaJoinEquivalence, AllVariantsProduceIdenticalJoins) {
     l->AddOutput(join, 0);
     r->AddOutput(join, 1);
     join->AddOutput(sink);
-    pipeline.Run();
+    FeedToEnd({{l, wl.left}, {r, wl.right}}, /*batch_size=*/1);
     std::multiset<std::pair<int64_t, int64_t>> canon;
     for (const Tuple& t : sink->Tuples()) {
       canon.emplace(t.values[1].int64(), t.values[3].int64());
@@ -283,14 +282,14 @@ TEST_F(SaJoinTest, SkippingRuleReducesScanWorkWithOverlappingRoles) {
     SaJoinOptions o = Options(/*window=*/1000);
     o.use_skipping_rule = skipping;
     Pipeline pipeline(&ctx_);
-    auto* l = pipeline.Add<SourceOperator>("l", left);
-    auto* r = pipeline.Add<SourceOperator>("r", right);
+    auto* l = pipeline.Add<PushSource>("l");
+    auto* r = pipeline.Add<PushSource>("r");
     auto* join = pipeline.Add<SaJoinIndex>(o);
     auto* sink = pipeline.Add<CollectorSink>();
     l->AddOutput(join, 0);
     r->AddOutput(join, 1);
     join->AddOutput(sink);
-    pipeline.Run();
+    FeedToEnd({{l, left}, {r, right}}, /*batch_size=*/1);
     return std::make_pair(join->segments_processed(),
                           sink->Tuples().size());
   };
@@ -326,8 +325,8 @@ TEST_F(SaJoinTest, MetricsBreakdownPopulated) {
   ExecContext ctx{&roles, &streams};
   JoinWorkload wl = GenerateJoinWorkload(&roles, wopts);
   Pipeline pipeline(&ctx);
-  auto* l = pipeline.Add<SourceOperator>("l", wl.left);
-  auto* r = pipeline.Add<SourceOperator>("r", wl.right);
+  auto* l = pipeline.Add<PushSource>("l");
+  auto* r = pipeline.Add<PushSource>("r");
   SaJoinOptions o;
   o.window_size = 50;
   o.left_stream_name = "s1";
@@ -337,7 +336,7 @@ TEST_F(SaJoinTest, MetricsBreakdownPopulated) {
   l->AddOutput(join, 0);
   r->AddOutput(join, 1);
   join->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{l, wl.left}, {r, wl.right}}, /*batch_size=*/1);
   const OperatorMetrics& m = join->metrics();
   EXPECT_EQ(m.tuples_in, 400);
   EXPECT_GT(m.sps_in, 0);

@@ -80,8 +80,8 @@ TEST(ScaleTest, SpIndexSustainsManyResidentSegments) {
 
   ExecContext ctx{&roles, &streams};
   Pipeline pipeline(&ctx);
-  auto* l = pipeline.Add<SourceOperator>("l", wl.left);
-  auto* r = pipeline.Add<SourceOperator>("r", wl.right);
+  auto* l = pipeline.Add<PushSource>("l");
+  auto* r = pipeline.Add<PushSource>("r");
   SaJoinOptions o;
   o.window_size = 2000;  // ~2000 resident tuples => ~670 segments per side
   o.left_stream_name = "s1";
@@ -91,7 +91,7 @@ TEST(ScaleTest, SpIndexSustainsManyResidentSegments) {
   l->AddOutput(join, 0);
   r->AddOutput(join, 1);
   join->AddOutput(sink);
-  pipeline.Run(512);
+  FeedToEnd({{l, wl.left}, {r, wl.right}}, 512);
 
   EXPECT_EQ(join->metrics().tuples_in, 60000);
   EXPECT_GT(join->metrics().tuples_out, 0);

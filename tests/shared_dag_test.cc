@@ -40,7 +40,7 @@ TEST_F(SharedDagTest, OneSourceTwoShieldedQueries) {
   input.emplace_back(MakeTuple(4, {2, 4}, 10));  // filtered by select
 
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* shared_select = pipeline.Add<SaSelect>(Expr::Compare(
       Expr::CmpOp::kGt, Expr::Column(0), Expr::Literal(Value(5))));
   src->AddOutput(shared_select);
@@ -63,7 +63,7 @@ TEST_F(SharedDagTest, OneSourceTwoShieldedQueries) {
   shared_select->AddOutput(ss_q2);
   ss_q1->AddOutput(sink1);
   ss_q2->AddOutput(sink2);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
 
   // q1 (role r0): tuples 1 and 3. q2 (role r1): tuples 2 and 3.
   auto q1 = sink1->Tuples();
@@ -89,7 +89,7 @@ TEST_F(SharedDagTest, MergedShieldBeforeSharedWorkSplitAfter) {
   input.emplace_back(MakeTuple(2, {20, 2}, 5));
 
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   SsOptions merged;
   merged.predicates = {RoleSet::FromIds({ids_[0], ids_[1]})};
   merged.stream_name = "s";
@@ -116,7 +116,7 @@ TEST_F(SharedDagTest, MergedShieldBeforeSharedWorkSplitAfter) {
   shared_select->AddOutput(ss_2);
   ss_1->AddOutput(sink1);
   ss_2->AddOutput(sink2);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
 
   // The merged shield killed the r5 segment before the shared select.
   EXPECT_EQ(shared_select->metrics().tuples_in, 1);

@@ -202,12 +202,12 @@ TEST_F(SsOperatorTest, MetricsCountDrops) {
   input.emplace_back(MakeTuple(1, {1, 1}, 1));
   input.emplace_back(MakeTuple(2, {2, 2}, 2));
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* ss = pipeline.Add<SsOperator>(Options({RoleSet::Of(ids_[0])}));
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(ss);
   ss->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   EXPECT_EQ(ss->metrics().tuples_in, 2);
   EXPECT_EQ(ss->metrics().tuples_dropped_security, 2);
   EXPECT_EQ(ss->metrics().sps_in, 1);
@@ -273,11 +273,11 @@ TEST_F(SsOperatorTest, StateBytesGaugeEqualsFullWalk) {
   }
 
   Pipeline pipeline(&ctx_);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   auto* ss = pipeline.Add<SsOperator>(options);
   src->AddOutput(ss);
   ss->AddOutput(pipeline.Add<CollectorSink>());
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   EXPECT_EQ(ss->metrics().peak_state_bytes, peak);
 }
 

@@ -7,10 +7,12 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/operator.h"
+#include "exec/plan_builder.h"
 #include "security/role_catalog.h"
 #include "security/security_punctuation.h"
 #include "stream/stream_element.h"
@@ -51,12 +53,12 @@ template <typename MakeOp>
 RunResult RunUnary(ExecContext* ctx, std::vector<StreamElement> input,
                    MakeOp&& make_op) {
   Pipeline pipeline(ctx);
-  auto* src = pipeline.Add<SourceOperator>("src", std::move(input));
+  auto* src = pipeline.Add<PushSource>("src");
   Operator* op = make_op(&pipeline);
   auto* sink = pipeline.Add<CollectorSink>();
   src->AddOutput(op);
   op->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{src, std::move(input)}}, /*batch_size=*/1);
   RunResult r;
   r.tuples = sink->Tuples();
   r.sps = sink->Sps();
@@ -69,19 +71,35 @@ template <typename MakeOp>
 RunResult RunBinary(ExecContext* ctx, std::vector<StreamElement> left,
                     std::vector<StreamElement> right, MakeOp&& make_op) {
   Pipeline pipeline(ctx);
-  auto* l = pipeline.Add<SourceOperator>("left", std::move(left));
-  auto* rsrc = pipeline.Add<SourceOperator>("right", std::move(right));
+  auto* l = pipeline.Add<PushSource>("left");
+  auto* rsrc = pipeline.Add<PushSource>("right");
   Operator* op = make_op(&pipeline);
   auto* sink = pipeline.Add<CollectorSink>();
   l->AddOutput(op, 0);
   rsrc->AddOutput(op, 1);
   op->AddOutput(sink);
-  pipeline.Run();
+  FeedToEnd({{l, std::move(left)}, {rsrc, std::move(right)}},
+            /*batch_size=*/1);
   RunResult r;
   r.tuples = sink->Tuples();
   r.sps = sink->Sps();
   r.elements = sink->elements();
   return r;
+}
+
+/// \brief Compile `plan` into `pipeline` and feed `inputs` (stream name ->
+/// elements) through it to the end at `batch_size`; the plan's one sink
+/// holds the results.
+inline Result<PhysicalPlan> RunPlan(
+    Pipeline* pipeline, const LogicalNodePtr& plan,
+    const std::unordered_map<std::string, std::vector<StreamElement>>& inputs,
+    const PhysicalPlanOptions& options = {}, size_t batch_size = 1) {
+  SP_ASSIGN_OR_RETURN(PhysicalPlan built,
+                      BuildPhysicalPlan(pipeline, {plan}, options));
+  SP_ASSIGN_OR_RETURN(std::vector<FiniteInput> fed,
+                      BindInputs(built.sources, inputs));
+  FeedToEnd(std::move(fed), batch_size);
+  return built;
 }
 
 /// \brief Reference model of a punctuated stream: (tuple, policy-roles)

@@ -5,7 +5,7 @@
 //     the server/engine spans it causes share one sp-batch trace id;
 //   - the always-on flight recorder dumps on an injected policy.install
 //     fault, carrying the responsible trace;
-//   - sampling off (trace_sample_n = 0) allocates no span rings.
+//   - tracing off (the default) allocates no span rings.
 //
 // The tracer is process-global, so every test arms it in SetUp and disarms
 // in TearDown — a failing test must not leave tracing on for the suite.
@@ -358,7 +358,7 @@ TEST_F(TraceTest, DisabledTracingAllocatesNoRings) {
   ASSERT_FALSE(tracer.enabled());
   const int64_t rings_before = tracer.rings_allocated();
 
-  SpStreamEngine engine;  // trace_sample_n defaults to 0: tracer untouched
+  SpStreamEngine engine;  // tracing stays off: tracer untouched
   engine.RegisterRole("GP");
   ASSERT_TRUE(engine
                   .RegisterStream(MakeSchema(

@@ -93,22 +93,22 @@ TEST_P(WellFormedFuzz, RandomPlansProduceWellFormedStreams) {
     plan = LogicalNode::Ss({q}, std::move(plan));
 
     Pipeline pipeline(&ctx);
-    auto built = BuildPhysicalPlan(&pipeline, plan, inputs);
+    auto built =
+        sptest::RunPlan(&pipeline, plan, inputs, {}, 1 + rng.NextBounded(64));
     ASSERT_TRUE(built.ok()) << built.status().ToString() << "\n"
                             << plan->ToString();
-    pipeline.Run(1 + rng.NextBounded(64));
 
     const std::string context =
         "seed " + std::to_string(GetParam()) + " trial " +
         std::to_string(trial) + "\n" + plan->ToString();
-    CheckWellFormed(built->sink->elements(), context);
+    CheckWellFormed(built->sinks[0]->elements(), context);
 
     if (!with_join && !has_aggregate) {
       // Safety: output tuples' source tids must have been authorized for q.
       auto ref = sptest::ReferenceAnnotate(inputs["A"], "A");
       std::map<TupleId, RoleSet> by_tid;
       for (auto& rt : ref) by_tid[rt.tuple.tid] = rt.roles;
-      for (const Tuple& t : built->sink->Tuples()) {
+      for (const Tuple& t : built->sinks[0]->Tuples()) {
         // Distinct may re-emit under narrowed policies; the governing
         // check is that SOMEONE in q could read the source tuple.
         auto it = by_tid.find(t.tid);
