@@ -12,8 +12,11 @@
 // The security audit log is measured the same way: a denial-heavy shared
 // select (the perfbench enforce_select shape: moving objects, an sp every
 // 10 tuples granting 4 of 100 roles, 8 subjects with distinct role pairs
-// sharing one region query) with EngineOptions::enable_audit off and on,
-// repetitions interleaved; the difference is audit_overhead_pct.
+// sharing one region query) with EngineOptions::enable_audit off and on.
+// Each repetition runs one block per side, the first side alternating, and
+// yields one on/off time ratio; audit_overhead_pct is the throughput cost
+// at the median ratio, 100 * (1 - 1 / median), with the ratios' min and
+// max next to it.
 //
 // Emits a machine-readable summary to stdout, BENCH_trace_overhead.json in
 // the working directory, and SPSTREAM_BENCH_JSON_DIR when set.
@@ -232,7 +235,17 @@ struct AuditResult {
   bool enable_audit = false;
   double tuples_per_sec = 0;
   int64_t denials = 0;  // tuples dropped by the shields over the run
+  double events_per_epoch = 0;         // audit events appended
+  double denial_events_per_epoch = 0;  // of which denial (run) events
   RepStats stats;
+};
+
+/// The paired audit measurement: one on/off time ratio per repetition.
+struct AuditPair {
+  std::vector<AuditResult> sides;  // [0] audit off, [1] audit on
+  std::vector<double> ratios;      // on seconds / off seconds, per rep
+  double median_ratio = 0;
+  double overhead_pct = 0;  // 100 * (1 - 1 / median_ratio)
 };
 
 /// One engine running the shared select with the audit log on or off.
@@ -286,6 +299,20 @@ class AuditRun {
   int64_t denials() {
     return engine_.SnapshotMetrics().engine_totals.tuples_dropped_security;
   }
+  int64_t epochs() const { return epoch_; }
+  /// Audit events appended so far, and how many of them are denials. Every
+  /// other kind counts one per event, so the denial events are the rest.
+  int64_t events() const { return engine_.audit()->total(); }
+  int64_t denial_events() const {
+    int64_t other = 0;
+    for (int k = 0; k < kNumAuditEventKinds; ++k) {
+      const auto kind = static_cast<AuditEventKind>(k);
+      if (kind != AuditEventKind::kDenial) {
+        other += engine_.audit()->CountOf(kind);
+      }
+    }
+    return events() - other;
+  }
 
  private:
   static EngineOptions Options(bool enable_audit) {
@@ -310,10 +337,12 @@ class AuditRun {
 /// Audit log off and on over the same epochs. Each repetition runs one
 /// block on each engine, in alternating order, so both sides see the same
 /// stretch of the host.
-std::vector<AuditResult> RunAuditPair() {
+AuditPair RunAuditPair() {
   Tracer::Global().Disable();
   AuditRun runs[2] = {AuditRun(false), AuditRun(true)};
-  std::vector<AuditResult> res(2);
+  AuditPair pair;
+  std::vector<AuditResult>& res = pair.sides;
+  res.resize(2);
   int rep = 0;
   MeasureReps(
       kAuditReps,
@@ -334,18 +363,32 @@ std::vector<AuditResult> RunAuditPair() {
         return total;
       });
   for (int side = 0; side < 2; ++side) {
+    AuditRun& run = runs[side];
     res[side].enable_audit = side == 1;
     res[side].tuples_per_sec =
         static_cast<double>(kAuditEpochsPerRep * kAuditTuplesPerEpoch) /
         res[side].stats.Min();
-    res[side].denials = runs[side].denials();
+    res[side].denials = run.denials();
+    res[side].events_per_epoch =
+        static_cast<double>(run.events()) / static_cast<double>(run.epochs());
+    res[side].denial_events_per_epoch =
+        static_cast<double>(run.denial_events()) /
+        static_cast<double>(run.epochs());
   }
-  return res;
+  for (size_t i = 0; i < res[0].stats.seconds.size(); ++i) {
+    pair.ratios.push_back(res[1].stats.seconds[i] / res[0].stats.seconds[i]);
+  }
+  std::vector<double> sorted = pair.ratios;
+  std::sort(sorted.begin(), sorted.end());
+  const size_t n = sorted.size();
+  pair.median_ratio =
+      n % 2 ? sorted[n / 2] : (sorted[n / 2 - 1] + sorted[n / 2]) / 2;
+  pair.overhead_pct = 100.0 * (1.0 - 1.0 / pair.median_ratio);
+  return pair;
 }
 
 std::string ToJson(const std::vector<OverheadResult>& results,
-                   const std::vector<AuditResult>& audit,
-                   double audit_overhead_pct) {
+                   const AuditPair& audit) {
   std::ostringstream os;
   os << "{\"bench\":\"trace_overhead\",\"config\":{\"epochs\":" << kEpochs
      << ",\"tuples_per_epoch_per_stream\":" << kTuplesPerEpoch
@@ -371,16 +414,27 @@ std::string ToJson(const std::vector<OverheadResult>& results,
      << ",\"share_plans\":true,\"epochs_per_rep\":" << kAuditEpochsPerRep
      << ",\"warmup_epochs\":" << kAuditWarmupEpochs
      << ",\"reps\":" << kAuditReps << "},\"results\":[";
-  for (size_t i = 0; i < audit.size(); ++i) {
-    const AuditResult& r = audit[i];
+  for (size_t i = 0; i < audit.sides.size(); ++i) {
+    const AuditResult& r = audit.sides[i];
     if (i) os << ",";
     os << "{\"mode\":\"" << (r.enable_audit ? "audit_on" : "audit_off")
        << "\",";
     AppendRepStatsJson(os, r.stats);
     os << ",\"tuples_per_sec\":" << r.tuples_per_sec
-       << ",\"denials\":" << r.denials << "}";
+       << ",\"denials\":" << r.denials
+       << ",\"events_per_epoch\":" << r.events_per_epoch
+       << ",\"denial_events_per_epoch\":" << r.denial_events_per_epoch
+       << "}";
   }
-  os << "],\"audit_overhead_pct\":" << audit_overhead_pct << "}}";
+  os << "],\"on_off_ratios\":[";
+  for (size_t i = 0; i < audit.ratios.size(); ++i) {
+    os << (i ? "," : "") << audit.ratios[i];
+  }
+  os << "],\"ratio_median\":" << audit.median_ratio << ",\"ratio_min\":"
+     << *std::min_element(audit.ratios.begin(), audit.ratios.end())
+     << ",\"ratio_max\":"
+     << *std::max_element(audit.ratios.begin(), audit.ratios.end())
+     << ",\"audit_overhead_pct\":" << audit.overhead_pct << "}}";
   return os.str();
 }
 
@@ -408,21 +462,27 @@ int main() {
              2);
   }
 
-  const std::vector<AuditResult> audit = RunAuditPair();
-  const double audit_overhead_pct =
-      100.0 * (audit[0].tuples_per_sec - audit[1].tuples_per_sec) /
-      audit[0].tuples_per_sec;
+  const AuditPair audit = RunAuditPair();
   PrintHeader("Audit overhead",
-              "tuples/sec of a denial-heavy shared select by audit log state");
-  PrintLegend("mode", {"tuples/s", "overhead %", "stddev(ms)", "denials"});
-  for (const AuditResult& r : audit) {
+              "tuples/sec of a denial-heavy shared select by audit log state "
+              "(overhead at the median per-rep on/off ratio)");
+  PrintLegend("mode", {"tuples/s", "overhead %", "stddev(ms)", "denials",
+                       "events/epoch", "denial ev/epoch"});
+  for (const AuditResult& r : audit.sides) {
     PrintRow(r.enable_audit ? "audit_on" : "audit_off",
-             {r.tuples_per_sec, r.enable_audit ? audit_overhead_pct : 0.0,
-              r.stats.Stddev() * 1e3, static_cast<double>(r.denials)},
+             {r.tuples_per_sec, r.enable_audit ? audit.overhead_pct : 0.0,
+              r.stats.Stddev() * 1e3, static_cast<double>(r.denials),
+              r.events_per_epoch, r.denial_events_per_epoch},
              2);
   }
+  std::cout << "on/off time ratio per rep: median " << audit.median_ratio
+            << ", min "
+            << *std::min_element(audit.ratios.begin(), audit.ratios.end())
+            << ", max "
+            << *std::max_element(audit.ratios.begin(), audit.ratios.end())
+            << "\n";
 
-  const std::string json = ToJson(results, audit, audit_overhead_pct);
+  const std::string json = ToJson(results, audit);
   std::cout << "\nJSON: " << json << "\n";
   {
     std::ofstream out("BENCH_trace_overhead.json");

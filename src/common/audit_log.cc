@@ -27,12 +27,34 @@ const std::string& AuditText::Empty() {
   return kEmpty;
 }
 
+std::vector<TupleId> AuditEvent::TupleIds() const {
+  std::vector<TupleId> ids;
+  ids.reserve(static_cast<size_t>(count()));
+  for (uint64_t rest = tuple_offsets; rest != 0; rest &= rest - 1) {
+    ids.push_back(tuple_id + std::countr_zero(rest));
+  }
+  return ids;
+}
+
 std::string AuditEvent::ToString() const {
   std::ostringstream os;
   os << "#" << seq << " " << AuditEventKindName(kind);
   if (!scope.empty()) os << " scope=" << scope;
   if (!stream.empty()) os << " stream=" << stream;
   if (kind == AuditEventKind::kDenial) os << " tuple=" << tuple_id;
+  if (count() > 1) {
+    // Consecutive ids fold into "a..b" ranges.
+    os << " count=" << count() << " tuples=";
+    const std::vector<TupleId> ids = TupleIds();
+    for (size_t i = 0; i < ids.size();) {
+      size_t j = i;
+      while (j + 1 < ids.size() && ids[j + 1] == ids[j] + 1) ++j;
+      if (i) os << ",";
+      os << ids[i];
+      if (j > i) os << ".." << ids[j];
+      i = j + 1;
+    }
+  }
   os << " sp_ts=" << sp_ts;
   if (!roles.empty()) os << " roles=" << roles;
   if (trace_id != 0) {
@@ -47,8 +69,15 @@ std::string AuditEvent::ToJson() const {
   os << "{\"seq\":" << seq << ",\"kind\":\"" << AuditEventKindName(kind)
      << "\",\"scope\":\"" << JsonEscape(scope) << "\",\"stream\":\""
      << JsonEscape(stream) << "\",\"sp_ts\":" << sp_ts
-     << ",\"tuple_id\":" << tuple_id << ",\"roles\":\""
-     << JsonEscape(roles.str()) << "\",\"trace_id\":" << trace_id
+     << ",\"tuple_id\":" << tuple_id;
+  if (count() > 1) {
+    os << ",\"count\":" << count() << ",\"tuple_ids\":[";
+    const std::vector<TupleId> ids = TupleIds();
+    for (size_t i = 0; i < ids.size(); ++i) os << (i ? "," : "") << ids[i];
+    os << "]";
+  }
+  os << ",\"roles\":\"" << JsonEscape(roles.str())
+     << "\",\"trace_id\":" << trace_id
      << ",\"detail\":\"" << JsonEscape(detail.str()) << "\"}";
   return os.str();
 }
@@ -60,7 +89,7 @@ AuditLog::AuditLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
 void AuditLog::Append(AuditEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
   event.seq = next_seq_++;
-  ++kind_counts_[static_cast<size_t>(event.kind)];
+  kind_counts_[static_cast<size_t>(event.kind)] += event.count();
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(event));
   } else {

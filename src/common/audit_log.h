@@ -4,11 +4,14 @@
 // A fixed-capacity ring buffer of typed events: policy installs and
 // expirations as sp-batches reach a Security Shield, per-query denial events
 // carrying the responsible sp (batch) timestamp and role predicate, and
-// re-plans after a role change. All-time per-kind counters survive wraparound, so
+// re-plans after a role change. A Security Shield audits a run of denials
+// under one policy as one event that lists the run's tuple ids. All-time
+// per-kind counters survive wraparound and count a run by its tuples, so
 // aggregate assertions ("every security drop has a denial event") hold even
 // after old events are evicted.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -76,7 +79,13 @@ struct AuditEvent {
   std::string scope;      ///< query tag ("q0") or "engine"
   std::string stream;     ///< stream the event concerns
   Timestamp sp_ts = 0;    ///< id of the responsible sp-batch (its timestamp)
-  TupleId tuple_id = 0;   ///< denials: the denied tuple's id
+  TupleId tuple_id = 0;   ///< denials: the (first) denied tuple's id
+  /// Denials: bit i set means tuple `tuple_id + i` was denied. A Security
+  /// Shield sets further bits while one run of denials lasts (same shield,
+  /// same policy object, no event or passing tuple in between), so the ids
+  /// stay exact although a select upstream leaves gaps. Bit 0 alone: one
+  /// tuple, rendered as before runs existed.
+  uint64_t tuple_offsets = 1;
   AuditText roles;        ///< role predicate of the denied query / the sp
   AuditText detail;       ///< free-form context (policy roles, sign, ...)
   /// Trace id of the span chain that produced the event (SpBatchTraceId of
@@ -85,8 +94,15 @@ struct AuditEvent {
   /// off.
   uint64_t trace_id = 0;
 
+  /// \brief Tuples the event stands for: a denial run's length, else 1.
+  int64_t count() const { return std::popcount(tuple_offsets); }
+  /// \brief The ids of `tuple_offsets`, ascending.
+  std::vector<TupleId> TupleIds() const;
+
+  /// \brief One line; a run adds " count=N tuples=a..b,c" after `tuple=`.
   std::string ToString() const;
-  /// \brief One JSON object, e.g. {"seq":3,"kind":"denial",...}.
+  /// \brief One JSON object, e.g. {"seq":3,"kind":"denial",...}; a run
+  /// adds "count" and "tuple_ids" after "tuple_id".
   std::string ToJson() const;
 };
 
@@ -110,7 +126,9 @@ class AuditLog {
   /// \brief All-time number of events appended (≥ retained count).
   int64_t total() const;
 
-  /// \brief All-time count of one event kind (survives wraparound).
+  /// \brief All-time count of one event kind (survives wraparound). A
+  /// denial run counts its tuples, so CountOf(kDenial) is the number of
+  /// denied tuples.
   int64_t CountOf(AuditEventKind kind) const;
 
   size_t capacity() const { return capacity_; }

@@ -56,6 +56,7 @@ void Operator::PushBatch(ElementBatch batch, int port) {
         }
       }
     }
+    OnBatchEnd();
   }
   if (traced) {
     span.set_args(in_size, metrics_.tuples_out - out_before,

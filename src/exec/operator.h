@@ -123,6 +123,11 @@ class Operator {
   /// propagates. Stateful operators flush pending results here.
   virtual void OnAllFinished() {}
 
+  /// \brief Called at the end of every PushBatch, on the row path and after
+  /// a columnar kernel alike, before the output is forwarded. Must not
+  /// emit. The Security Shield closes its open denial run here.
+  virtual void OnBatchEnd() {}
+
   /// \brief Append an element to the output of the batch being processed
   /// (forwarded downstream as one batch when the input batch completes).
   /// Only valid inside the hooks PushBatch calls.

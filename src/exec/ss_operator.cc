@@ -1,6 +1,7 @@
 #include "exec/ss_operator.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/audit_log.h"
 #include "common/trace.h"
@@ -151,6 +152,7 @@ bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
         AuditDenial(batch.tid_at(r), memo_policy_);
         continue;
       }
+      CloseDenialRun();
       if (!pending_emitted_) flush_pending(r);
       ++metrics_.tuples_out;
       sel.push_back(r);
@@ -170,6 +172,7 @@ bool SsOperator::ProcessColumnar(ElementBatch& batch, ElementBatch* out,
         if (t.values[i].is_null()) cols[i].SetNull(r);
       }
     }
+    CloseDenialRun();
     if (!pending_emitted_) flush_pending(r);
     ++metrics_.tuples_out;
     sel.push_back(r);
@@ -193,7 +196,10 @@ void SsOperator::Process(StreamElement&& elem, int) {
   }
 }
 
+void SsOperator::OnBatchEnd() { CloseDenialRun(); }
+
 void SsOperator::HandleSp(StreamElement& elem) {
+  CloseDenialRun();  // before this sp's install or expire event
   ++metrics_.sps_in;
   // The arriving sp opens (or extends) a tracker batch: the policy for the
   // next tuple run must be re-derived, whatever this sp turns out to mean.
@@ -223,8 +229,7 @@ void SsOperator::HandleSp(StreamElement& elem) {
       e.scope = query_tag();
       e.stream = options_.stream_name;
       e.sp_ts = *pending_ts_;
-      e.detail = "policy overridden by newer sp-batch ts=" +
-                 std::to_string(sp_ts);
+      e.detail = AuditTextsOf(elem.sp()).overrides;
       log->Append(std::move(e));
     }
     pending_sps_.clear();
@@ -238,7 +243,7 @@ void SsOperator::HandleSp(StreamElement& elem) {
     e.scope = query_tag();
     e.stream = options_.stream_name;
     e.sp_ts = sp_ts;
-    e.roles = sp.roles().ToString(*ctx_->roles);
+    e.roles = AuditTextsOf(elem.sp()).roles;
     // [negative][immutable]: the four texts are shared by every install.
     static const AuditText kSignText[2][2] = {{"+", "+ immutable"},
                                               {"-", "- immutable"}};
@@ -258,30 +263,60 @@ void SsOperator::HandleSp(StreamElement& elem) {
   UpdateStateBytes();
 }
 
-void SsOperator::AuditDenial(TupleId tid, const PolicyPtr& policy) {
-  if (AuditLog* log = audit()) {
-    // The record answers "who was denied what, under which policy": the
-    // query (scope + its role predicate), the tuple, and the responsible
-    // sp-batch (its ts is the sp id) with the roles it authorizes.
-    const RoleCatalog& roles = *ctx_->roles;
-    if (predicate_text_.empty()) {
-      predicate_text_ = state_.predicate_union().ToString(roles);
-    }
-    if (policy != detail_policy_) {
-      detail_policy_ = policy;
-      detail_text_ = "policy allows " + policy->allowed().ToString(roles);
-    }
-    AuditEvent e;
-    e.kind = AuditEventKind::kDenial;
-    e.scope = query_tag();
-    e.stream = options_.stream_name;
-    e.tuple_id = tid;
-    e.sp_ts = policy->ts();
-    e.roles = predicate_text_;
-    e.detail = detail_text_;
-    e.trace_id = SpTraceIdIfOn(policy->ts());
-    log->Append(std::move(e));
+const SecurityPunctuation::AuditTexts& SsOperator::AuditTextsOf(
+    SecurityPunctuation& sp) {
+  if (!sp.audit_texts()) {
+    sp.set_audit_texts(std::make_shared<const SecurityPunctuation::AuditTexts>(
+        SecurityPunctuation::AuditTexts{
+            sp.roles().ToString(*ctx_->roles),
+            "policy overridden by newer sp-batch ts=" +
+                std::to_string(sp.ts())}));
   }
+  return *sp.audit_texts();
+}
+
+void SsOperator::AuditDenial(TupleId tid, const PolicyPtr& policy) {
+  if (audit() == nullptr) return;
+  if (run_open_ && policy == detail_policy_) {
+    // The run's sp_ts, roles and detail depend only on the policy object,
+    // so one more denial under it is one more bit.
+    const TupleId first = denial_run_.tuple_id;
+    const TupleId last =
+        first + std::bit_width(denial_run_.tuple_offsets) - 1;
+    if (tid > last && tid - first < 64) {
+      denial_run_.tuple_offsets |= uint64_t{1} << (tid - first);
+      return;
+    }
+  }
+  CloseDenialRun();
+  // The record answers "who was denied what, under which policy": the
+  // query (scope + its role predicate), the tuples, and the responsible
+  // sp-batch (its ts is the sp id) with the roles it authorizes.
+  const RoleCatalog& roles = *ctx_->roles;
+  if (predicate_text_.empty()) {
+    predicate_text_ = state_.predicate_union().ToString(roles);
+  }
+  if (policy != detail_policy_) {
+    detail_policy_ = policy;
+    detail_text_ = "policy allows " + policy->allowed().ToString(roles);
+  }
+  AuditEvent& e = denial_run_;
+  e.kind = AuditEventKind::kDenial;
+  e.scope = query_tag();
+  e.stream = options_.stream_name;
+  e.tuple_id = tid;
+  e.tuple_offsets = 1;
+  e.sp_ts = policy->ts();
+  e.roles = predicate_text_;
+  e.detail = detail_text_;
+  e.trace_id = SpTraceIdIfOn(policy->ts());
+  run_open_ = true;
+}
+
+void SsOperator::CloseDenialRun() {
+  if (!run_open_) return;
+  run_open_ = false;
+  if (AuditLog* log = audit()) log->Append(std::move(denial_run_));
 }
 
 void SsOperator::HandleTuple(StreamElement& elem) {
@@ -300,6 +335,7 @@ void SsOperator::HandleTuple(StreamElement& elem) {
       AuditDenial(t.tid, memo_policy_);
       return;
     }
+    CloseDenialRun();
     if (!pending_emitted_) {
       pending_emitted_ = true;
       for (SecurityPunctuation& sp : pending_sps_) {
@@ -312,6 +348,7 @@ void SsOperator::HandleTuple(StreamElement& elem) {
   }
 
   if (!DecideTupleSlowPath(t.tid, &t)) return;
+  CloseDenialRun();
   if (!pending_emitted_) {
     pending_emitted_ = true;
     for (SecurityPunctuation& sp : pending_sps_) {
@@ -335,6 +372,7 @@ bool SsOperator::DecideTupleSlowPath(TupleId tid, Tuple* t) {
     seen_fail_closed_installs_ = tracker_.fail_closed_installs();
     pending_sps_.clear();
     pending_emitted_ = true;
+    CloseDenialRun();
     if (AuditLog* log = audit()) {
       AuditEvent e;
       e.kind = AuditEventKind::kPolicyExpire;
@@ -374,6 +412,7 @@ bool SsOperator::DecideTupleSlowPath(TupleId tid, Tuple* t) {
   if (!authorized) {
     ++metrics_.tuples_dropped_security;
     AuditDenial(tid, policy);
+    if (masking) CloseDenialRun();  // masking audits each tuple on its own
     return false;
   }
   return true;

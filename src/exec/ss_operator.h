@@ -90,6 +90,9 @@ class SsOperator : public Operator {
   /// the selection vector in place; attribute masking clears validity bits.
   bool ProcessColumnar(ElementBatch& batch, ElementBatch* out,
                        int port) override;
+  /// Closes the open denial run: one shield finishes a batch before it
+  /// forwards it, so the log keeps its per-tuple order.
+  void OnBatchEnd() override;
 
  private:
   void HandleSp(StreamElement& elem);
@@ -105,9 +108,19 @@ class SsOperator : public Operator {
   /// Null out attributes of `t` the predicate roles may not read; returns
   /// false when nothing remains visible (tuple must drop).
   bool ApplyAttributeMask(Tuple* t);
-  /// Denial record of tuple `tid` under `policy`. The role texts come from
-  /// the caches below, so a run of denials renders nothing.
+  /// Denial record of tuple `tid` under `policy`. It extends the open run
+  /// when the run's policy is the same object, `tid` is above the run's
+  /// last id and below its first + 64; otherwise the open run closes and
+  /// `tid` opens a new one. The role texts come from the caches below, so
+  /// a run of denials renders nothing.
   void AuditDenial(TupleId tid, const PolicyPtr& policy);
+  /// Append the open denial run, if any. Runs close at a passing tuple, at
+  /// an sp, before any other event of this shield, at batch end and, under
+  /// attribute masking, after every denial.
+  void CloseDenialRun();
+  /// An sp's install and expire texts, rendered at the first shield that
+  /// audits it and carried on by the sp (SecurityPunctuation::AuditTexts).
+  const SecurityPunctuation::AuditTexts& AuditTextsOf(SecurityPunctuation& sp);
 
   SsOptions options_;
   SsState state_;
@@ -139,6 +152,10 @@ class SsOperator : public Operator {
   AuditText predicate_text_;
   PolicyPtr detail_policy_;
   AuditText detail_text_;
+  // The open denial run (one event, at most one open): appended when it
+  // closes. Its policy is detail_policy_, which only AuditDenial sets.
+  AuditEvent denial_run_;
+  bool run_open_ = false;
   // Checkpoint cursor: tracker batch ts at the last durable checkpoint and
   // the ts staged by the last CheckpointState call.
   Timestamp ckpt_ts_ = kMinTimestamp;

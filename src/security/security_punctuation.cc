@@ -30,6 +30,7 @@ Result<AccessControlModel> AccessControlModelFromString(std::string_view s) {
 const RoleSet& SecurityPunctuation::ResolveRoles(const RoleCatalog& catalog) {
   if (!resolved_roles_) {
     resolved_roles_ = role_pattern_.EvalRoles(catalog);
+    audit_texts_.reset();
   }
   return *resolved_roles_;
 }
@@ -184,7 +185,7 @@ bool SecurityPunctuation::operator==(const SecurityPunctuation& other) const {
 }
 
 size_t SecurityPunctuation::MemoryBytes() const {
-  size_t bytes = sizeof(SecurityPunctuation);
+  size_t bytes = sizeof(SecurityPunctuation) - sizeof(audit_texts_);
   bytes += stream_pattern_.MemoryBytes() - sizeof(Pattern);
   bytes += tuple_pattern_.MemoryBytes() - sizeof(Pattern);
   bytes += attr_pattern_.MemoryBytes() - sizeof(Pattern);

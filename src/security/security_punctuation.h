@@ -10,10 +10,12 @@
 // sps of one batch share a ts and are interpreted as a single policy.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/audit_log.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "security/pattern.h"
@@ -122,6 +124,24 @@ class SecurityPunctuation {
   /// codec, which ships bitmaps rather than pattern text).
   void SetResolvedRoles(RoleSet roles) {
     resolved_roles_ = std::move(roles);
+    audit_texts_.reset();
+  }
+
+  // --- Audit text -------------------------------------------------------
+  /// \brief Text the Security Shield's audit events quote from this sp,
+  /// rendered by the first shield that audits it. The sp carries it on to
+  /// the shields downstream, which quote it instead of rendering it again.
+  /// Not part of the sp's value: equality, MemoryBytes and the codecs
+  /// ignore it, and a change of the resolved roles drops it.
+  struct AuditTexts {
+    AuditText roles;      ///< the resolved roles, "{A, B}"
+    AuditText overrides;  ///< "policy overridden by newer sp-batch ts=<ts>"
+  };
+  const std::shared_ptr<const AuditTexts>& audit_texts() const {
+    return audit_texts_;
+  }
+  void set_audit_texts(std::shared_ptr<const AuditTexts> texts) {
+    audit_texts_ = std::move(texts);
   }
 
   // --- Flags ------------------------------------------------------------
@@ -164,6 +184,7 @@ class SecurityPunctuation {
   bool incremental_ = false;
   Timestamp ts_ = 0;
   std::optional<RoleSet> resolved_roles_;
+  std::shared_ptr<const AuditTexts> audit_texts_;
 };
 
 /// \brief Assemble the single Policy an sp-batch denotes (§III.E union()

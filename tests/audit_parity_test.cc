@@ -1,14 +1,19 @@
-// Audit-text parity. The Security Shield renders its predicate once and
-// each denying policy's roles once, SAJoin renders each denying policy
-// pair once, and events share that text by reference count. The log must
-// read exactly as if every event had rendered its own text: same events,
-// same order, same ToString()/ToJson(), same per-kind counts, one denial
-// per security drop, and intact after the engine is gone.
+// Audit parity. The Security Shield renders its predicate once, each
+// denying policy's roles once and each sp's install/expire text once per
+// plan; SAJoin renders each denying policy pair once; events share that
+// text by reference count. A shield audits a run of denials under one
+// policy object as one event listing the run's tuple ids. Expanding every
+// run into one event per tuple must give back the log the engine wrote
+// when every denial was its own event and every event rendered its own
+// text: same events, same order, same ToString()/ToJson(), same per-kind
+// counts, one denied tuple per security drop, and intact after the engine
+// is gone.
 //
 // The moving-objects input alternates tuple-range sps (the policy is
 // re-derived per tuple: the slow path) with stream-level ones (the policy
 // is uniform, so the memo decides the run), and runs at batch size 1 (row
-// memo) and 64 (columnar memo at every shield of the shared plan).
+// memo), 64 and 1024 (columnar memo at every shield of the shared plan;
+// at 1024 an epoch is one batch).
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -61,6 +66,23 @@ std::vector<StreamElement> EpochElements(const RoleCatalog* roles,
       e = StreamElement(std::move(sp));
     }
     stream_level = !stream_level;
+  }
+  return out;
+}
+
+/// One event per denied tuple, seq renumbered: the log as it read before
+/// denial runs.
+std::vector<AuditEvent> ExpandRuns(const std::vector<AuditEvent>& events) {
+  std::vector<AuditEvent> out;
+  for (const AuditEvent& e : events) {
+    for (TupleId tid : e.TupleIds()) {
+      out.push_back(e);
+      out.back().tuple_id = tid;
+      out.back().tuple_offsets = 1;
+    }
+  }
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i].seq = static_cast<int64_t>(i);
   }
   return out;
 }
@@ -151,14 +173,16 @@ void ExpectOldText(const ParityRun& run) {
     EXPECT_EQ(e.stream, "Location");
     switch (e.kind) {
       case AuditEventKind::kDenial: {
-        ++denials;
+        denials += e.count();
         ASSERT_EQ(run.predicate_text.count(e.scope), 1u);
         EXPECT_EQ(e.roles, run.predicate_text.at(e.scope));
         ASSERT_EQ(run.policy_text.count(e.sp_ts), 1u);
         EXPECT_EQ(e.detail, "policy allows " + run.policy_text.at(e.sp_ts));
-        // The denied tuple follows the sp whose policy the detail names:
+        // Each denied tuple follows the sp whose policy the detail names:
         // a detail left over from the previous policy would fail here.
-        EXPECT_EQ(run.block_tids.at(e.sp_ts).count(e.tuple_id), 1u);
+        for (TupleId tid : e.TupleIds()) {
+          EXPECT_EQ(run.block_tids.at(e.sp_ts).count(tid), 1u) << tid;
+        }
         break;
       }
       case AuditEventKind::kPolicyInstall:
@@ -197,17 +221,38 @@ TEST_P(AuditParityTest, SharedPlanEventsReadAsPerEventRendering) {
   ExpectOldText(run);
 }
 
-// The log of the same input is byte-identical to the one the engine wrote
-// when every event rendered its own text (digests taken from that
-// version). Any change to what the SS audits, or how, shows up here;
-// update the digest only for an intended change of the log.
+/// {digest of the expanded log, digest of the log itself} per batch size.
+/// At batch size 1 every batch holds one element and every run closes at
+/// its batch's end, so the two agree.
+struct PinnedDigests {
+  uint64_t expanded;
+  uint64_t runs;
+};
+
+PinnedDigests DigestsFor(size_t batch_size) {
+  switch (batch_size) {
+    case 1: return {0xefafd91f0943c4a0ull, 0xefafd91f0943c4a0ull};
+    case 64: return {0x63c7bcf421a17ebcull, 0x216b1b9817aa3053ull};
+    default: return {0x74ff954aa823c130ull, 0x7be685d66419031bull};
+  }
+}
+
+// Expanded into one event per denied tuple, the log of the same input is
+// byte-identical to the one the engine wrote when every denial was its own
+// event and every event rendered its own text (digests taken from that
+// version). The run log itself is pinned too. Any change to what the SS
+// audits, or how, shows up here; update a digest only for an intended
+// change of the log.
 TEST_P(AuditParityTest, SharedPlanLogMatchesPerEventRenderingDigest) {
   const ParityRun run = RunSharedPlan(/*num_shards=*/1, GetParam());
-  const uint64_t want =
-      GetParam() == 1 ? 0xefafd91f0943c4a0ull : 0x63c7bcf421a17ebcull;
-  EXPECT_EQ(Digest(run.events), want)
-      << std::hex << "0x" << Digest(run.events) << " over "
-      << std::dec << run.events.size() << " events";
+  const PinnedDigests want = DigestsFor(GetParam());
+  const std::vector<AuditEvent> expanded = ExpandRuns(run.events);
+  EXPECT_EQ(Digest(expanded), want.expanded)
+      << std::hex << "0x" << Digest(expanded) << " over " << std::dec
+      << expanded.size() << " expanded events";
+  EXPECT_EQ(Digest(run.events), want.runs)
+      << std::hex << "0x" << Digest(run.events) << " over " << std::dec
+      << run.events.size() << " events";
 }
 
 TEST_P(AuditParityTest, EventsOutliveTheEngine) {
@@ -234,7 +279,8 @@ TEST_P(AuditParityTest, TwoShardDenialsReadAsPerEventRendering) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, AuditParityTest,
-                         ::testing::Values(size_t{1}, size_t{64}),
+                         ::testing::Values(size_t{1}, size_t{64},
+                                           size_t{1024}),
                          [](const auto& info) {
                            return "batch" + std::to_string(info.param);
                          });
@@ -273,7 +319,7 @@ TEST(AuditParityPolicyChangeTest, DetailChangesAtFirstTupleOfNewBatch) {
     ASSERT_TRUE(engine.Run().ok());
 
     std::vector<AuditEvent> denials;
-    for (const AuditEvent& e : engine.audit()->Events()) {
+    for (const AuditEvent& e : ExpandRuns(engine.audit()->Events())) {
       if (e.kind == AuditEventKind::kDenial) denials.push_back(e);
     }
     ASSERT_EQ(denials.size(), 10u);

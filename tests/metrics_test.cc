@@ -226,6 +226,70 @@ TEST(AuditLogTest, EventJsonHasKindAndScope) {
   EXPECT_NE(json.find("42"), std::string::npos) << json;
 }
 
+/// A denial run of tuple ids `first + offset` for each offset.
+AuditEvent DenialRun(TupleId first, std::vector<int> offsets) {
+  AuditEvent e = MakeEvent(AuditEventKind::kDenial, "q0");
+  e.stream = "S";
+  e.sp_ts = 7;
+  e.tuple_id = first;
+  e.tuple_offsets = 0;
+  for (int o : offsets) e.tuple_offsets |= uint64_t{1} << o;
+  e.roles = "{ND}";
+  e.detail = "policy allows {GP}";
+  return e;
+}
+
+TEST(AuditLogTest, CountOfAddsRunCountsAcrossWraparound) {
+  AuditLog log(/*capacity=*/3);
+  int64_t denied = 0;
+  for (int i = 0; i < 6; ++i) {
+    std::vector<int> offsets;
+    for (int o = 0; o <= i * 12; o += 3) offsets.push_back(o);
+    log.Append(DenialRun(100 * i, offsets));
+    denied += static_cast<int64_t>(offsets.size());
+    log.Append(MakeEvent(AuditEventKind::kPolicyInstall, "q0"));
+  }
+  EXPECT_EQ(log.total(), 12);  // events, not tuples
+  EXPECT_EQ(log.retained(), 3u);
+  EXPECT_EQ(denied, 1 + 5 + 9 + 13 + 17 + 21);
+  EXPECT_EQ(log.CountOf(AuditEventKind::kDenial), denied);
+  EXPECT_EQ(log.CountOf(AuditEventKind::kPolicyInstall), 6);
+  // The newest retained run still lists its tuples.
+  const std::vector<AuditEvent> events = log.Events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].count(), 21);
+  EXPECT_EQ(events[1].TupleIds().front(), 500);
+  EXPECT_EQ(events[1].TupleIds().back(), 560);
+}
+
+// One denied tuple renders exactly as before denial runs existed.
+TEST(AuditLogTest, SingleDenialRendersAsBeforeRuns) {
+  const AuditEvent e = DenialRun(42, {0});
+  EXPECT_EQ(e.count(), 1);
+  EXPECT_EQ(e.ToJson(),
+            "{\"seq\":0,\"kind\":\"denial\",\"scope\":\"q0\",\"stream\":"
+            "\"S\",\"sp_ts\":7,\"tuple_id\":42,\"roles\":\"{ND}\","
+            "\"trace_id\":0,\"detail\":\"policy allows {GP}\"}");
+  EXPECT_EQ(e.ToString(),
+            "#0 denial scope=q0 stream=S tuple=42 sp_ts=7 roles={ND} "
+            "(policy allows {GP})");
+}
+
+TEST(AuditLogTest, RunRendersCountAndTupleIds) {
+  const AuditEvent e = DenialRun(40, {0, 1, 2, 5, 7, 63});
+  EXPECT_EQ(e.count(), 6);
+  EXPECT_EQ(e.TupleIds(), (std::vector<TupleId>{40, 41, 42, 45, 47, 103}));
+  EXPECT_EQ(e.ToJson(),
+            "{\"seq\":0,\"kind\":\"denial\",\"scope\":\"q0\",\"stream\":"
+            "\"S\",\"sp_ts\":7,\"tuple_id\":40,\"count\":6,\"tuple_ids\":"
+            "[40,41,42,45,47,103],\"roles\":\"{ND}\",\"trace_id\":0,"
+            "\"detail\":\"policy allows {GP}\"}");
+  EXPECT_EQ(e.ToString(),
+            "#0 denial scope=q0 stream=S tuple=40 count=6 "
+            "tuples=40..42,45,47,103 sp_ts=7 roles={ND} "
+            "(policy allows {GP})");
+}
+
 // ---- exporter formats ----------------------------------------------------
 
 /// Minimal structural JSON check: braces/brackets balance outside strings,

@@ -396,7 +396,7 @@ class Shell {
     std::cout << "audit: " << log->total() << " events ("
               << log->CountOf(AuditEventKind::kPolicyInstall) << " installs, "
               << log->CountOf(AuditEventKind::kPolicyExpire) << " expires, "
-              << log->CountOf(AuditEventKind::kDenial) << " denials, "
+              << log->CountOf(AuditEventKind::kDenial) << " denied tuples, "
               << log->CountOf(AuditEventKind::kPlanAdapt) << " re-plans, "
               << log->CountOf(AuditEventKind::kShardFallback)
               << " shard fallbacks)\n";
